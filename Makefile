@@ -22,7 +22,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-lint: ## project-specific invariants: ownership, locking, leaks (see DESIGN.md §12, §17)
+lint: ## project-specific invariants: ownership, locking, leaks (see DESIGN.md §12; §17.3 for -staleignores)
 	$(GO) run ./cmd/iqlint ./...
 	$(GO) run ./cmd/iqlint -staleignores ./...
 

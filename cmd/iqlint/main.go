@@ -1,12 +1,8 @@
 // Command iqlint runs the IQ-RUDP static-analysis suite (internal/analysis):
 //
-//	atomicfield   mixed atomic/plain field access; 64-bit atomic alignment
 //	borrowcheck   Emit/HandlePacket borrow contract (DESIGN §11)
 //	errdrop       socket error returns consumed or counted into Metrics
-//	goroexit      goroutines in internal/* without a reachable shutdown edge
-//	handlecheck   wheel-timer handle lifecycle (use-after-freelist, re-arm)
 //	lockemit      no blocking I/O or Env.Emit under a held mutex
-//	lockorder     cross-package mutex acquisition cycles and self-deadlocks
 //	poolcheck     packet/BufPool acquire-release pairing, use-after-Put
 //	timeafterloop time.After in loops (timer-leak regression guard)
 //	tracekeys     registered trace reasons and attr keys only
@@ -38,26 +34,18 @@ import (
 	"strings"
 
 	"github.com/cercs/iqrudp/internal/analysis"
-	"github.com/cercs/iqrudp/internal/analysis/atomicfield"
 	"github.com/cercs/iqrudp/internal/analysis/borrowcheck"
 	"github.com/cercs/iqrudp/internal/analysis/errdrop"
-	"github.com/cercs/iqrudp/internal/analysis/goroexit"
-	"github.com/cercs/iqrudp/internal/analysis/handlecheck"
 	"github.com/cercs/iqrudp/internal/analysis/lockemit"
-	"github.com/cercs/iqrudp/internal/analysis/lockorder"
 	"github.com/cercs/iqrudp/internal/analysis/poolcheck"
 	"github.com/cercs/iqrudp/internal/analysis/timeafterloop"
 	"github.com/cercs/iqrudp/internal/analysis/tracekeys"
 )
 
 var analyzers = []*analysis.Analyzer{
-	atomicfield.Analyzer,
 	borrowcheck.Analyzer,
 	errdrop.Analyzer,
-	goroexit.Analyzer,
-	handlecheck.Analyzer,
 	lockemit.Analyzer,
-	lockorder.Analyzer,
 	poolcheck.Analyzer,
 	timeafterloop.Analyzer,
 	tracekeys.Analyzer,

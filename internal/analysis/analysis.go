@@ -19,37 +19,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Analyzer is one static check: a name (also the suppression key used by
 // //iqlint:ignore comments), a doc string shown by `iqlint -list`, and the
 // Run function applied to every package.
-//
-// An analyzer that needs to see the whole load — lockorder's mutex
-// acquisition graph spans every package of a `make lint` run — sets
-// NewState: the driver calls it once per Run invocation, hands the value
-// to every Pass through Pass.State, and calls its Finish after the last
-// package, where cross-package diagnostics are reported. Under the go vet
-// driver each invocation holds a single package, so Finish sees only that
-// package's facts — cross-package findings are strongest in standalone
-// mode (make lint, TestSuiteCleanOnTree).
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-
-	// NewState, when set, allocates per-invocation shared state threaded
-	// through every package's Pass and finished after the last one.
-	NewState func() State
-}
-
-// State is an analyzer's per-Run accumulator; see Analyzer.NewState.
-type State interface {
-	// Finish runs after every package has been analyzed. Diagnostics it
-	// reports pass through the same //iqlint:ignore suppression filter as
-	// per-package ones.
-	Finish(report func(Diagnostic)) error
 }
 
 // Diagnostic is one finding.
@@ -66,16 +44,8 @@ type Pass struct {
 	Files    []*ast.File // non-test files, with comments
 	Pkg      *types.Package
 	Info     *types.Info
-	State    State // the Analyzer.NewState value for this Run, or nil
 
 	report func(Diagnostic)
-}
-
-// TestFile reports whether pos lies in a _test.go file. The standalone
-// loader never loads test files, but the go vet driver does; analyzers
-// whose invariants do not apply to test harness code gate on this.
-func (p *Pass) TestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // Reportf records a diagnostic at pos.
@@ -193,67 +163,4 @@ func PathMatches(path, want string) bool {
 func IsNamedType(t types.Type, pkgPath, name string) bool {
 	tn, path := namedRecv(t)
 	return tn == name && PathMatches(path, pkgPath)
-}
-
-// FuncKey returns a stable, cross-package identity for a function:
-// "path.Type.Name" for methods (pointer receivers unwrapped; interface
-// methods keyed by the interface type) and "path.Name" for package-level
-// functions. The same source function re-type-checked in another package's
-// universe (from export data) yields the same key, which is what lets
-// cross-package analyzers match call sites against summaries.
-func FuncKey(f *types.Func) string {
-	pkg := ""
-	if f.Pkg() != nil {
-		pkg = f.Pkg().Path()
-	}
-	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		switch tt := t.(type) {
-		case *types.Named:
-			obj := tt.Obj()
-			if obj.Pkg() != nil {
-				pkg = obj.Pkg().Path()
-			}
-			return pkg + "." + obj.Name() + "." + f.Name()
-		default:
-			return pkg + ".(" + t.String() + ")." + f.Name()
-		}
-	}
-	return pkg + "." + f.Name()
-}
-
-// SigKey canonicalizes a signature to its parameter and result types —
-// names stripped, packages qualified by full path — so structurally
-// identical signatures from different type-checking universes compare
-// equal. Used to match registered callbacks against indirect call sites.
-func SigKey(sig *types.Signature) string {
-	qual := func(p *types.Package) string { return p.Path() }
-	var sb strings.Builder
-	sb.WriteString("func(")
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		if sig.Variadic() && i == params.Len()-1 {
-			sb.WriteString("...")
-		}
-		sb.WriteString(types.TypeString(params.At(i).Type(), qual))
-	}
-	sb.WriteByte(')')
-	results := sig.Results()
-	if results.Len() > 0 {
-		sb.WriteByte('(')
-		for i := 0; i < results.Len(); i++ {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(types.TypeString(results.At(i).Type(), qual))
-		}
-		sb.WriteByte(')')
-	}
-	return sb.String()
 }

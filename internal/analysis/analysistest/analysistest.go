@@ -34,14 +34,10 @@ type expectation struct {
 
 // Run loads the fixture package rooted at dir (relative to the test's
 // working directory) and applies a to it, comparing diagnostics with the
-// fixture's want comments. Extra load patterns (e.g. "./...") widen the
-// load for cross-package fixtures; the default is the root package alone.
-func Run(t *testing.T, a *analysis.Analyzer, dir string, patterns ...string) {
+// fixture's want comments.
+func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
-	if len(patterns) == 0 {
-		patterns = []string{"."}
-	}
-	pkgs, err := analysis.Load(dir, patterns...)
+	pkgs, err := analysis.Load(dir, ".")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

@@ -95,17 +95,10 @@ func suppressions(pkgs []*Package) map[string]map[int][]string {
 	return sup
 }
 
-// runRaw applies every analyzer to every package — including each
-// stateful analyzer's Finish hook — and returns the diagnostics before
-// suppression filtering or sorting.
+// runRaw applies every analyzer to every package and returns the
+// diagnostics before suppression filtering or sorting.
 func runRaw(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	states := make(map[*Analyzer]State)
-	for _, a := range analyzers {
-		if a.NewState != nil {
-			states[a] = a.NewState()
-		}
-	}
 	for _, pkg := range pkgs {
 		if pkg.Pkg == nil {
 			continue
@@ -117,27 +110,11 @@ func runRaw(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
-				State:    states[a],
 			}
 			pass.report = func(d Diagnostic) { diags = append(diags, d) }
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, a.Name, err)
 			}
-		}
-	}
-	for _, a := range analyzers {
-		st := states[a]
-		if st == nil {
-			continue
-		}
-		report := func(d Diagnostic) {
-			if d.Analyzer == "" {
-				d.Analyzer = a.Name
-			}
-			diags = append(diags, d)
-		}
-		if err := st.Finish(report); err != nil {
-			return nil, fmt.Errorf("%s: finish: %v", a.Name, err)
 		}
 	}
 	return diags, nil

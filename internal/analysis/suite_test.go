@@ -8,13 +8,9 @@ import (
 
 	"github.com/cercs/iqrudp/internal/analysis"
 	"github.com/cercs/iqrudp/internal/analysis/analysistest"
-	"github.com/cercs/iqrudp/internal/analysis/atomicfield"
 	"github.com/cercs/iqrudp/internal/analysis/borrowcheck"
 	"github.com/cercs/iqrudp/internal/analysis/errdrop"
-	"github.com/cercs/iqrudp/internal/analysis/goroexit"
-	"github.com/cercs/iqrudp/internal/analysis/handlecheck"
 	"github.com/cercs/iqrudp/internal/analysis/lockemit"
-	"github.com/cercs/iqrudp/internal/analysis/lockorder"
 	"github.com/cercs/iqrudp/internal/analysis/poolcheck"
 	"github.com/cercs/iqrudp/internal/analysis/timeafterloop"
 	"github.com/cercs/iqrudp/internal/analysis/tracekeys"
@@ -35,21 +31,6 @@ func TestTimeafterloop(t *testing.T) {
 	analysistest.Run(t, timeafterloop.Analyzer, "testdata/src/timeafterloop/internal/udpwire")
 }
 func TestTracekeys(t *testing.T) { analysistest.Run(t, tracekeys.Analyzer, "testdata/src/tracekeys") }
-func TestLockorder(t *testing.T) {
-	analysistest.Run(t, lockorder.Analyzer, "testdata/src/lockorder")
-	// The cross-package half: the acquisition graph must span packages
-	// loaded together, so the fixture loads with a ./... pattern.
-	analysistest.Run(t, lockorder.Analyzer, "testdata/src/lockordermulti", "./...")
-}
-func TestHandlecheck(t *testing.T) {
-	analysistest.Run(t, handlecheck.Analyzer, "testdata/src/handlecheck")
-}
-func TestAtomicfield(t *testing.T) {
-	analysistest.Run(t, atomicfield.Analyzer, "testdata/src/atomicfield")
-}
-func TestGoroexit(t *testing.T) {
-	analysistest.Run(t, goroexit.Analyzer, "testdata/src/goroexit")
-}
 
 // TestStaleIgnores pins the audit's three verdicts: a suppression covering
 // a firing diagnostic is kept, one covering nothing is flagged, and one
@@ -97,10 +78,8 @@ func TestSuiteCleanOnTree(t *testing.T) {
 		}
 	}
 	suite := []*analysis.Analyzer{
-		atomicfield.Analyzer, borrowcheck.Analyzer, errdrop.Analyzer,
-		goroexit.Analyzer, handlecheck.Analyzer, lockemit.Analyzer,
-		lockorder.Analyzer, poolcheck.Analyzer, timeafterloop.Analyzer,
-		tracekeys.Analyzer,
+		borrowcheck.Analyzer, errdrop.Analyzer, lockemit.Analyzer,
+		poolcheck.Analyzer, timeafterloop.Analyzer, tracekeys.Analyzer,
 	}
 	diags, err := analysis.Run(pkgs, suite)
 	if err != nil {

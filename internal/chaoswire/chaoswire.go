@@ -131,6 +131,8 @@ type Proxy struct {
 	delays     atomic.Uint64
 	blackholed atomic.Uint64
 	rebinds    atomic.Uint64
+
+	delayed atomic.Int64 // delay-fault datagrams scheduled but not yet released
 }
 
 // New starts a proxy relaying to target ("host:port"). Clients dial
@@ -382,9 +384,11 @@ func (p *Proxy) process(l *lane, b []byte, send func([]byte)) {
 		p.delays.Add(1)
 		p.traceFault(fault, b)
 		cp := append([]byte(nil), b...)
+		p.delayed.Add(1)
 		time.AfterFunc(delay, func() {
 			send(cp)
 			p.forwarded.Add(1)
+			p.delayed.Add(-1)
 		})
 	default:
 		if fault != "" { // corrupt / truncate: forward the damaged datagram

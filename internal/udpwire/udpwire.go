@@ -109,17 +109,7 @@ func (e env) Emit(p *packet.Packet) {
 		}
 		return
 	}
-	if c.txb != nil {
-		c.stageTx(p)
-		return
-	}
-	b, err := packet.Encode(p)
-	if err != nil {
-		return
-	}
-	if _, err := c.sock.Write(b); err != nil {
-		c.m.NoteTxError(1, err)
-	}
+	c.stageTx(p)
 }
 
 // stageTx encodes p into the next TX ring slot, reusing the slot's buffer.
@@ -269,12 +259,10 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 			cfg.ConnID = rand.Uint32()
 		}
 	}
-	c := newConn(cfg, sock, ua, nil)
-	c.ownSocket = true
-	c.dialAddr = raddr
-	c.dialCfg = cfg
-	if tb, err := uio.NewTxBatcher(sock, txRingSize); err == nil {
-		c.txb = tb
+	tb, err := uio.NewTxBatcher(sock, txRingSize)
+	if err != nil {
+		sock.Close()
+		return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
 	}
 	// Receive buffers mirror the serve engine's sizing: one MSS-sized payload
 	// plus header/attribute headroom. Both ends of an IQ-RUDP connection are
@@ -283,9 +271,16 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 	if rxLen < 4096 {
 		rxLen = 4096
 	}
-	if rb, err := uio.NewConnectedRxBatcher(sock, uio.NewBufPool(rxLen), rxBatch); err == nil {
-		c.rxb = rb
+	rb, err := uio.NewConnectedRxBatcher(sock, uio.NewBufPool(rxLen), rxBatch)
+	if err != nil {
+		sock.Close()
+		return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
 	}
+	c := newConn(cfg, sock, ua, nil)
+	c.ownSocket = true
+	c.dialAddr = raddr
+	c.dialCfg = cfg
+	c.txb, c.rxb = tb, rb
 	go c.readLoop()
 	c.mu.Lock()
 	c.m.StartClient()
@@ -318,10 +313,6 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 // machine only borrows it for the duration of HandlePacket, so the loop runs
 // allocation-free in steady state.
 func (c *Conn) readLoop() {
-	if c.rxb == nil {
-		c.readLoopSimple()
-		return
-	}
 	var p packet.Packet
 	for {
 		msgs, err := c.rxb.Recv()
@@ -364,27 +355,6 @@ func (c *Conn) handleBatch(msgs []uio.Msg, p *packet.Packet) {
 	out := c.takeDeliveries()
 	c.mu.Unlock()
 	c.dispatch(out)
-}
-
-// readLoopSimple is the one-datagram-per-read fallback used when the batched
-// receiver could not be built over the socket.
-func (c *Conn) readLoopSimple() {
-	buf := make([]byte, 65536)
-	var p packet.Packet
-	for {
-		n, err := c.sock.Read(buf)
-		if err != nil {
-			c.abortWith(trace.ReasonSockErr)
-			return
-		}
-		if err := packet.DecodeInto(&p, buf[:n], p.Payload); err != nil {
-			continue // corrupt or foreign datagram
-		}
-		if id := c.ID(); id != 0 && p.ConnID != 0 && p.ConnID != id {
-			continue
-		}
-		c.handlePacket(&p)
-	}
 }
 
 // HandleIncoming feeds one decoded packet into the connection; acceptors

@@ -203,6 +203,44 @@ func TestStopVsFireRace(t *testing.T) {
 	}
 }
 
+// TestCallbackRunsUnlocked: fireSlot releases Wheel.mu before dispatching,
+// so a callback may call back into its wheel — re-arm its own handle, arm
+// and stop another. Holding the lock across fn would self-deadlock the wheel
+// goroutine on the first such call; the bounded wait turns that into a
+// failure rather than a hung package.
+func TestCallbackRunsUnlocked(t *testing.T) {
+	w := New(time.Millisecond)
+	defer w.Close()
+	other := w.NewTimer(func(uint64) {})
+	done := make(chan bool, 2)
+	fires := 0 // wheel goroutine only
+	var tm *Timer
+	tm = w.NewTimer(func(uint64) {
+		fires++
+		if fires > 1 {
+			done <- true
+			return
+		}
+		tm.Arm(time.Millisecond)
+		other.Arm(time.Hour)
+		done <- other.Stop()
+	})
+	tm.Arm(time.Millisecond)
+	timeout := time.NewTimer(fireBound)
+	defer timeout.Stop()
+	for i := 1; i <= 2; i++ {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatalf("fire %d: Stop inside a callback missed the timer it just armed", i)
+			}
+		case <-timeout.C:
+			t.Fatalf("fire %d did not complete within %v: is Wheel.mu held across the callback?", i, fireBound)
+		}
+		timeout.Reset(fireBound)
+	}
+}
+
 // TestAfterFuncEquivalence: quick-check the wheel against time.AfterFunc
 // semantics with random delays — every armed timer fires exactly once, never
 // before its deadline, and relative firing order respects deadlines up to
