@@ -12,9 +12,9 @@ GO ?= go
 CHAOS_SEED ?= 1
 CHAOS_DUR  ?= 5s
 
-.PHONY: check build test vet lint race race-smoke chaos-smoke attack-smoke fuzz-smoke bench bench-alloc bench-obs bench-server bench-fec benchstat tables
+.PHONY: check build test vet lint race bench-compile race-smoke chaos-smoke attack-smoke fuzz-smoke bench bench-alloc bench-obs bench-server bench-fec benchstat tables
 
-check: vet lint build race ## vet + iqlint + build + full race-enabled test run (includes the short seeded chaos pass)
+check: vet lint build race bench-compile ## vet + iqlint + build + full race-enabled test run (includes the short seeded chaos pass) + the benchmark module's vet and tests
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel and the serve engine
-	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer' ./internal/udpwire/
+bench-compile: ## bench/ is its own module, outside ./...: vet and test it so an internal API change that breaks the benchmark fails here
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine and the data-path allocation pins
+	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer|TestDialedHandleBatchAllocs' ./internal/udpwire/
+	$(GO) test -race -run 'Allocs' ./internal/uio/ ./internal/trace/
 	$(GO) test -race ./internal/packet/
 	$(GO) test -race ./internal/wheel/
 	$(GO) test -race ./internal/serve/

@@ -61,10 +61,12 @@ func (c *collector) events() []trace.Event {
 	return append([]trace.Event(nil), c.evs...)
 }
 
-// recvSet is the server-side record of delivered marked payloads.
+// recvSet is the server-side record of delivered marked payloads and of
+// every connection the sink accepted.
 type recvSet struct {
-	mu sync.Mutex
-	m  map[string]bool
+	mu    sync.Mutex
+	m     map[string]bool
+	conns []*udpwire.Conn
 }
 
 func newRecvSet() *recvSet { return &recvSet{m: map[string]bool{}} }
@@ -87,6 +89,30 @@ func (r *recvSet) len() int {
 	return len(r.m)
 }
 
+func (r *recvSet) accepted(c *udpwire.Conn) {
+	r.mu.Lock()
+	r.conns = append(r.conns, c)
+	r.mu.Unlock()
+}
+
+// dropped sums DroppedDeliveries over the sink's connections whose ConnID
+// is in ids: messages the transport delivered but the sink's receive queue
+// had no room for.
+func (r *recvSet) dropped(ids []uint32) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var n uint64
+	for _, c := range r.conns {
+		id := c.ID()
+		for _, want := range ids {
+			if id == want {
+				n += c.DroppedDeliveries()
+			}
+		}
+	}
+	return n
+}
+
 // startSink starts a serve engine that records every delivered marked
 // payload into the returned set.
 func startSink(t *testing.T, cfg core.Config) (*serve.Server, *recvSet) {
@@ -104,6 +130,7 @@ func startSink(t *testing.T, cfg core.Config) (*serve.Server, *recvSet) {
 			if err != nil {
 				return
 			}
+			got.accepted(c)
 			go func(c *udpwire.Conn) {
 				for {
 					msg, err := c.Recv(0)
@@ -120,13 +147,24 @@ func startSink(t *testing.T, cfg core.Config) (*serve.Server, *recvSet) {
 	return srv, got
 }
 
+// drained is how drainAndClose ended: the successors it created, whether
+// it gave up at its bound, and the in-flight and queued packets it last saw.
+type drained struct {
+	chain            []*udpwire.Conn
+	timedOut         bool
+	inFlight, queued int
+}
+
 // drainAndClose waits for the connection's pipeline to empty (resuming if
-// chaos kills it meanwhile) and closes it. Returns the final connection
-// chain including any successors created while draining.
-func drainAndClose(c *udpwire.Conn, bound time.Duration) []*udpwire.Conn {
-	var chain []*udpwire.Conn
+// chaos kills it meanwhile) and closes it.
+func drainAndClose(c *udpwire.Conn, bound time.Duration) drained {
+	var d drained
 	deadline := time.Now().Add(bound)
-	for time.Now().Before(deadline) {
+	for {
+		if !time.Now().Before(deadline) {
+			d.timedOut = true
+			break
+		}
 		if c.Closed() {
 			nc, err := c.Resume(3 * time.Second)
 			if err != nil {
@@ -134,17 +172,17 @@ func drainAndClose(c *udpwire.Conn, bound time.Duration) []*udpwire.Conn {
 				continue
 			}
 			c = nc
-			chain = append(chain, c)
+			d.chain = append(d.chain, c)
 			continue
 		}
-		m := c.Metrics()
-		if m.InFlight == 0 && c.QueuedPackets() == 0 {
+		d.inFlight, d.queued = c.Metrics().InFlight, c.QueuedPackets()
+		if d.inFlight == 0 && d.queued == 0 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	c.Close()
-	return chain
+	return d
 }
 
 // clientCfg is the soak clients' transport configuration: fast liveness so
@@ -335,7 +373,9 @@ func TestChaosSoak(t *testing.T) {
 
 	clientCol := &collector{}
 	type result struct {
-		sent map[string]bool
+		sent  map[string]bool
+		ids   []uint32 // every ConnID the client dialed or resumed to
+		drain drained
 	}
 	results := make([]result, 3)
 	var wg sync.WaitGroup
@@ -367,7 +407,7 @@ func TestChaosSoak(t *testing.T) {
 				return
 			}
 			sent := map[string]bool{}
-			results[idx] = result{sent: sent}
+			ids := []uint32{c.ID()}
 			start := time.Now()
 			deadline := start.Add(dur)
 			scripted := false
@@ -393,6 +433,7 @@ func TestChaosSoak(t *testing.T) {
 						continue
 					}
 					c = nc
+					ids = append(ids, c.ID())
 					continue
 				}
 				p := fmt.Sprintf("M:%d:%06d", idx, seq)
@@ -403,7 +444,11 @@ func TestChaosSoak(t *testing.T) {
 				_ = c.Send(filler, false) // droppable load
 				time.Sleep(2 * time.Millisecond)
 			}
-			drainAndClose(c, 15*time.Second)
+			dr := drainAndClose(c, 15*time.Second)
+			for _, nc := range dr.chain {
+				ids = append(ids, nc.ID())
+			}
+			results[idx] = result{sent: sent, ids: ids, drain: dr}
 		}(idx, proxy)
 	}
 	wg.Wait()
@@ -438,6 +483,19 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if missing > 5 {
 		t.Errorf("... and %d more undelivered marked payloads", missing-5)
+	}
+	if missing > 0 {
+		// Tell a delivery-queue drop at the sink from a harness that gave up
+		// draining before the transport finished.
+		var txDrops uint64
+		for _, ss := range srv.Stats().Shards {
+			txDrops += ss.TxDrops
+		}
+		for idx, r := range results {
+			t.Errorf("client %d: conns %v; sink dropped %d deliveries on them, shard TxDrops %d; "+
+				"drain hit its 15 s bound: %v (InFlight %d, QueuedPackets %d)",
+				idx, r.ids, got.dropped(r.ids), txDrops, r.drain.timedOut, r.drain.inFlight, r.drain.queued)
+		}
 	}
 	if want == 0 {
 		t.Fatal("soak sent no marked payloads; the harness is broken")

@@ -9,6 +9,7 @@ import (
 	"github.com/cercs/iqrudp/internal/packet"
 	"github.com/cercs/iqrudp/internal/trace"
 	"github.com/cercs/iqrudp/internal/udpwire"
+	"github.com/cercs/iqrudp/internal/uio"
 )
 
 // Hostile-network survivability: the serve-engine half of the guard
@@ -80,7 +81,7 @@ func (sh *shard) gatedSendTo(g *ampGate, connID uint32) func([]byte, *net.UDPAdd
 				return errAmpCapped
 			}
 		}
-		return io.enqueueTx(b, raddr)
+		return io.sendTo(b, raddr)
 	}
 }
 
@@ -139,7 +140,7 @@ func (sh *shard) sendRetry(p *packet.Packet, raddr *net.UDPAddr, reason string) 
 		Payload: cookie,
 	})
 	if err == nil {
-		_ = sh.io.enqueueTx(b, raddr)
+		_ = sh.io.enqueueTx(uio.Msg{B: b, Addr: raddr})
 	}
 	srv.retrySent.Add(1)
 	if srv.cfg.Tracer != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -167,7 +168,7 @@ func TestRstRateCap(t *testing.T) {
 	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second, RSTRate: 5})
 
 	sh := srv.shards[0]
-	raddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	raddr := netip.MustParseAddrPort("127.0.0.1:9999")
 	p := &packet.Packet{Type: packet.SYN, ConnID: 41, Seq: 1}
 	const refusals = 40
 	for i := 0; i < refusals; i++ {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -67,9 +68,11 @@ func (rc *rawClient) waitFor(want packet.Type, timeout time.Duration) *packet.Pa
 
 // addrKeyed reports whether addr maps to id in the shard's byAddr table.
 func addrKeyed(sh *shard, addr *net.UDPAddr, id uint32) bool {
+	ap := addr.AddrPort()
+	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	got, ok := sh.byAddr[addr.String()]
+	got, ok := sh.byAddr[ap]
 	return ok && got == id
 }
 

@@ -63,8 +63,8 @@ func (srv *Server) liveConns() []*udpwire.Conn {
 	var out []*udpwire.Conn
 	for _, sh := range srv.shards {
 		sh.mu.RLock()
-		for _, c := range sh.byID {
-			out = append(out, c)
+		for _, e := range sh.byID {
+			out = append(out, e.c)
 		}
 		sh.mu.RUnlock()
 	}

@@ -42,6 +42,7 @@ package serve
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -254,36 +255,11 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// With GRO the kernel coalesces a burst of same-flow datagrams into one
-	// super-datagram per recvmmsg slot, so receive buffers must hold a full
-	// coalesced train (64 KiB) rather than one MTU-sized packet.
 	offload := uio.ProbeOffload()
 	if opt.NoOffload {
 		offload = uio.Offload{}
 	}
-	bufSize := rxBufSize(cfg)
-	if offload.GRO {
-		bufSize = uio.GROBufSize
-	}
-	srv := &Server{
-		cfg:     cfg,
-		opt:     opt,
-		socks:   socks,
-		rxPool:  uio.NewBufPool(bufSize),
-		offload: offload,
-		shards:  make([]*shard, opt.Shards),
-		accept:  make(chan *udpwire.Conn, opt.Backlog),
-		drainCh: make(chan struct{}),
-		closed:  make(chan struct{}),
-		cookies: guard.NewCookieSource(opt.CookieLifetime),
-	}
-	if opt.MemLimit > 0 {
-		srv.ledger = &guard.Ledger{}
-		srv.gov = guard.NewGovernor(srv.ledger, opt.MemLimit)
-	}
-	if opt.SynPrefixRate > 0 {
-		srv.synLimiter = guard.NewPrefixLimiter(float64(opt.SynPrefixRate), 4096)
-	}
+	srv := newServer(cfg, opt, socks, offload)
 	for _, sock := range socks {
 		// The kernel clamps granted sizes to rmem_max/wmem_max silently; an
 		// outright failure is counted so an engine running on default socket
@@ -295,31 +271,6 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 		if err := sock.SetWriteBuffer(opt.SockBuf); err != nil {
 			srv.sockBufErrs.Add(1)
 		}
-	}
-	for i := range srv.shards {
-		srv.shards[i] = &shard{
-			srv:       srv,
-			idx:       i,
-			sock:      socks[i%len(socks)],
-			wh:        wheel.New(0),
-			byID:      make(map[uint32]*udpwire.Conn),
-			byAddr:    make(map[string]uint32),
-			gates:     make(map[uint32]*ampGate),
-			rstBucket: guard.NewTokenBucket(float64(opt.RSTRate), float64(opt.RSTRate)),
-			txq:       make(chan uio.Msg, 4*opt.Batch*len(srv.shards)),
-		}
-		if opt.FlightEvents > 0 {
-			srv.shards[i].rxBatchH = hist.NewBatch(hist.MetricRxBatch)
-			srv.shards[i].dispatchH = hist.NewLatency(hist.MetricDispatch)
-			srv.shards[i].wheelLateH = hist.NewLatency(hist.MetricWheelLateness)
-			srv.shards[i].wh.SetLatenessHist(srv.shards[i].wheelLateH)
-		}
-	}
-	// Each shard routes transmissions through the shard that owns its
-	// socket's I/O loops (itself on Linux; shard 0 in the single-socket
-	// fallback where len(socks) < Shards).
-	for i := range srv.shards {
-		srv.shards[i].io = srv.shards[i%len(socks)]
 	}
 	for i := range socks {
 		sh := srv.shards[i]
@@ -348,6 +299,69 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 	}
 	return srv, nil
+}
+
+// newServer builds the engine's tables and shards over already-bound
+// sockets (opt sanitized) without starting any I/O loop.
+func newServer(cfg core.Config, opt Options, socks []*net.UDPConn, offload uio.Offload) *Server {
+	// With GRO the kernel coalesces a burst of same-flow datagrams into one
+	// super-datagram per recvmmsg slot, so receive buffers must hold a full
+	// coalesced train (64 KiB) rather than one MTU-sized packet.
+	bufSize := rxBufSize(cfg)
+	if offload.GRO {
+		bufSize = uio.GROBufSize
+	}
+	srv := &Server{
+		cfg:     cfg,
+		opt:     opt,
+		socks:   socks,
+		rxPool:  uio.NewBufPool(bufSize),
+		offload: offload,
+		shards:  make([]*shard, opt.Shards),
+		accept:  make(chan *udpwire.Conn, opt.Backlog),
+		drainCh: make(chan struct{}),
+		closed:  make(chan struct{}),
+		cookies: guard.NewCookieSource(opt.CookieLifetime),
+	}
+	if opt.MemLimit > 0 {
+		srv.ledger = &guard.Ledger{}
+		srv.gov = guard.NewGovernor(srv.ledger, opt.MemLimit)
+	}
+	if opt.SynPrefixRate > 0 {
+		srv.synLimiter = guard.NewPrefixLimiter(float64(opt.SynPrefixRate), 4096)
+	}
+	// The transmit queue holds the datagrams a few receive batches provoke
+	// across every shard sharing a socket; enqueueTx blocks rather than
+	// drop when it is full.
+	txq := 4 * opt.Batch * len(srv.shards)
+	for i := range srv.shards {
+		sh := &shard{
+			srv:       srv,
+			idx:       i,
+			sock:      socks[i%len(socks)],
+			wh:        wheel.New(0),
+			byID:      make(map[uint32]connEntry),
+			byAddr:    make(map[netip.AddrPort]uint32),
+			rstBucket: guard.NewTokenBucket(float64(opt.RSTRate), float64(opt.RSTRate)),
+			txq:       make(chan uio.Msg, txq),
+			txDone:    make(chan struct{}),
+			txFree:    make([][]byte, 0, txq+opt.Batch),
+		}
+		if opt.FlightEvents > 0 {
+			sh.rxBatchH = hist.NewBatch(hist.MetricRxBatch)
+			sh.dispatchH = hist.NewLatency(hist.MetricDispatch)
+			sh.wheelLateH = hist.NewLatency(hist.MetricWheelLateness)
+			sh.wh.SetLatenessHist(sh.wheelLateH)
+		}
+		srv.shards[i] = sh
+	}
+	// Each shard routes transmissions through the shard that owns its
+	// socket's I/O loops (itself on Linux; shard 0 in the single-socket
+	// fallback where len(socks) < Shards).
+	for i := range srv.shards {
+		srv.shards[i].io = srv.shards[i%len(socks)]
+	}
+	return srv
 }
 
 // closeWheels stops every shard's timer goroutine.
@@ -411,8 +425,8 @@ func (srv *Server) Close() error {
 		var conns []*udpwire.Conn
 		for _, sh := range srv.shards {
 			sh.mu.RLock()
-			for _, c := range sh.byID {
-				conns = append(conns, c)
+			for _, e := range sh.byID {
+				conns = append(conns, e.c)
 			}
 			sh.mu.RUnlock()
 		}
@@ -466,7 +480,7 @@ type ShardStats struct {
 	TxPackets  uint64 // datagrams transmitted
 	TxBatches  uint64 // sendmmsg flushes
 	TxBytes    uint64 // wire bytes transmitted
-	TxDrops    uint64 // datagrams dropped (queue overflow or send failure)
+	TxDrops    uint64 // datagrams the kernel refused (the transmit queue blocks rather than drop)
 	TimerArms  uint64 // timing-wheel (re)arms on this shard's wheel
 	TimerFires uint64 // timing-wheel callback dispatches
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,19 +34,21 @@ type shard struct {
 	wh *wheel.Wheel
 
 	mu     sync.RWMutex
-	byID   map[uint32]*udpwire.Conn
-	byAddr map[string]uint32 // source address -> ConnID, for SYN-time collision checks
-
-	// gates holds the anti-amplification gate of every connection admitted
-	// without a validated cookie; route credits it per datagram and removes
-	// it once the handshake proves return routability. Guarded by mu.
-	gates map[uint32]*ampGate
+	byID   map[uint32]connEntry
+	byAddr map[netip.AddrPort]uint32 // source address -> ConnID, for SYN-time collision checks
 
 	// rstBucket caps outbound RST refusals so a spoofed flood cannot turn
 	// the engine into a reflector; suppressed refusals are still counted.
 	rstBucket *guard.TokenBucket
 
-	txq chan uio.Msg
+	// Transmit path (socket-owning shards): enqueueTx copies each datagram
+	// into a buffer from txFree and queues it on txq; txLoop sends batches
+	// and returns the buffers to txFree. txDone is closed when txLoop exits,
+	// releasing any enqueuer still waiting for queue space.
+	txq    chan uio.Msg
+	txDone chan struct{}
+	txMu   sync.Mutex
+	txFree [][]byte // at most cap(txq) + Batch idle buffers; guarded by txMu
 
 	rxPackets atomic.Uint64
 	rxBatches atomic.Uint64
@@ -64,6 +67,18 @@ type shard struct {
 	rxBatchH   *hist.Hist
 	dispatchH  *hist.Hist
 	wheelLateH *hist.Hist
+}
+
+// connEntry is one row of a shard's ConnID table: the connection, the peer
+// address it is keyed under in byAddr (compared against every datagram's
+// source without taking the connection's lock), and its anti-amplification
+// gate while the peer is unvalidated — admitted without a cookie and not yet
+// through its handshake; route credits the gate per datagram and clears it
+// once the handshake proves return routability.
+type connEntry struct {
+	c    *udpwire.Conn
+	peer netip.AddrPort
+	gate *ampGate
 }
 
 // homeShard routes a ConnID to its owning shard.
@@ -106,7 +121,7 @@ func (sh *shard) readLoop(rb *uio.RxBatcher) {
 				sh.rxErrors.Add(1)
 				continue
 			}
-			sh.srv.homeShard(p.ConnID).route(p, m.Addr)
+			sh.srv.homeShard(p.ConnID).route(p, m.AddrPort)
 		}
 		if sh.dispatchH != nil {
 			sh.dispatchH.RecordDur(time.Since(began))
@@ -118,39 +133,37 @@ func (sh *shard) readLoop(rb *uio.RxBatcher) {
 // route applies the demux rules to one inbound packet on its home shard.
 //
 //iqlint:borrow
-func (sh *shard) route(p *packet.Packet, raddr *net.UDPAddr) {
-	key := raddr.String()
-
+func (sh *shard) route(p *packet.Packet, from netip.AddrPort) {
 	sh.mu.RLock()
-	c := sh.byID[p.ConnID]
-	g := sh.gates[p.ConnID]
+	e, ok := sh.byID[p.ConnID]
 	sh.mu.RUnlock()
 
-	if g != nil {
+	if g := e.gate; g != nil {
 		// Every datagram from the unvalidated peer buys it 3x response
 		// budget; once the handshake completes the gate latches open and
 		// can be dropped from the table.
 		g.credit(p.WireSize())
 		if g.promote() {
 			sh.mu.Lock()
-			if cur, ok := sh.gates[p.ConnID]; ok && cur == g {
-				delete(sh.gates, p.ConnID)
+			if cur, ok := sh.byID[p.ConnID]; ok && cur.gate == g {
+				cur.gate = nil
+				sh.byID[p.ConnID] = cur
 			}
 			sh.mu.Unlock()
 		}
 	}
 
-	if c != nil {
-		if p.Type == packet.SYN && c.RemoteAddr().String() != key {
-			// Another host picked an in-use ConnID: refuse the newcomer
-			// rather than hijack the established connection.
-			sh.refuse(p, raddr)
-			return
+	if ok {
+		if e.peer != from {
+			if p.Type == packet.SYN {
+				// Another host picked an in-use ConnID: refuse the newcomer
+				// rather than hijack the established connection.
+				sh.refuse(p, from)
+				return
+			}
+			sh.migrate(p.ConnID, e.c, from)
 		}
-		if p.Type != packet.SYN && c.RemoteAddr().String() != key {
-			sh.migrate(c, raddr)
-		}
-		c.HandleIncoming(p)
+		e.c.HandleIncoming(p)
 		return
 	}
 
@@ -158,20 +171,27 @@ func (sh *shard) route(p *packet.Packet, raddr *net.UDPAddr) {
 		sh.srv.stray.Add(1)
 		return
 	}
-	sh.acceptSyn(p, raddr, key)
+	sh.acceptSyn(p, from)
 }
 
 // migrate rebinds an established connection to a new peer address (NAT
-// rebind / source-port change) and reaps the stale address entry.
-func (sh *shard) migrate(c *udpwire.Conn, raddr *net.UDPAddr) {
-	old := c.SetPeer(raddr)
+// rebind / source-port change) and reaps the stale address entry. The
+// connection's peer changes under the table lock, so the table and the
+// connection agree even when two read loops see the move at once.
+func (sh *shard) migrate(id uint32, c *udpwire.Conn, to netip.AddrPort) {
 	sh.mu.Lock()
-	if old != nil {
-		if id, ok := sh.byAddr[old.String()]; ok && id == c.ID() {
-			delete(sh.byAddr, old.String())
-		}
+	e, ok := sh.byID[id]
+	if !ok || e.c != c || e.peer == to {
+		sh.mu.Unlock()
+		return // closed meanwhile, or already moved by another read loop
 	}
-	sh.byAddr[raddr.String()] = c.ID()
+	if cur, ok := sh.byAddr[e.peer]; ok && cur == id {
+		delete(sh.byAddr, e.peer)
+	}
+	e.peer = to
+	sh.byID[id] = e
+	sh.byAddr[to] = id
+	c.SetPeer(net.UDPAddrFromAddrPort(to))
 	sh.mu.Unlock()
 	sh.srv.migrations.Add(1)
 }
@@ -182,14 +202,17 @@ func (sh *shard) migrate(c *udpwire.Conn, raddr *net.UDPAddr) {
 // yet), validated zombie eviction, backpressure and the drain gate.
 //
 //iqlint:borrow
-func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
+func (sh *shard) acceptSyn(p *packet.Packet, from netip.AddrPort) {
 	srv := sh.srv
 	if srv.draining() {
-		sh.refuse(p, raddr)
+		sh.refuse(p, from)
 		return
 	}
 
 	now := time.Now()
+	// The cookie, the prefix limiter and the new connection take the
+	// source as a *net.UDPAddr: one allocation per SYN, none per datagram.
+	raddr := net.UDPAddrFromAddrPort(from)
 
 	// Peel the optional cookie block off the SYN payload and verify it
 	// against the rotating secret. A cookie binds (source address, proposed
@@ -230,7 +253,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 		}
 		home := srv.homeShard(prevID)
 		home.mu.RLock()
-		old := home.byID[prevID]
+		old := home.byID[prevID].c
 		home.mu.RUnlock()
 		if old != nil {
 			old.AbortWith(trace.ReasonResumed)
@@ -260,7 +283,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	// Deepest brownout: the ledger says memory is nearly gone, so stop
 	// admitting entirely until established connections release buffers.
 	if srv.gov.Level() >= 3 {
-		sh.refuse(p, raddr)
+		sh.refuse(p, from)
 		return
 	}
 
@@ -271,30 +294,30 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	// forged SYN. Evict abortively (no FIN: the address now belongs to the
 	// new connection) before admitting the successor.
 	sh.mu.Lock()
-	if oldID, ok := sh.byAddr[key]; ok && oldID != p.ConnID {
+	if oldID, ok := sh.byAddr[from]; ok && oldID != p.ConnID {
 		if !cookieOK {
 			sh.mu.Unlock()
 			srv.evictDenied.Add(1)
 			sh.sendRetry(p, raddr, trace.ReasonEvictDenied)
 			return
 		}
-		if zombie := sh.byID[oldID]; zombie != nil {
+		if zombie, ok := sh.byID[oldID]; ok {
 			delete(sh.byID, oldID)
-			delete(sh.byAddr, key)
+			delete(sh.byAddr, from)
 			sh.mu.Unlock()
-			zombie.Abort()
+			zombie.c.Abort()
 			sh.mu.Lock()
 		}
 	}
 	if _, ok := sh.byID[p.ConnID]; ok {
 		// Raced with another packet admitting the same ConnID.
 		sh.mu.Unlock()
-		sh.route(p, raddr)
+		sh.route(p, from)
 		return
 	}
 
 	io := sh.io
-	send := io.enqueueTx
+	send := io.sendTo
 	var g *ampGate
 	if !cookieOK {
 		// Admitted without address validation (light load): cap bytes
@@ -309,11 +332,8 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	if g != nil {
 		g.conn.Store(c)
 	}
-	sh.byID[p.ConnID] = c
-	sh.byAddr[key] = p.ConnID
-	if g != nil {
-		sh.gates[p.ConnID] = g
-	}
+	sh.byID[p.ConnID] = connEntry{c: c, peer: from, gate: g}
+	sh.byAddr[from] = p.ConnID
 	sh.mu.Unlock()
 
 	select {
@@ -325,25 +345,23 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 		// Accept queue full: refuse with RST so the client fails fast
 		// instead of retrying into a black hole.
 		sh.mu.Lock()
-		if cur, ok := sh.byID[p.ConnID]; ok && cur == c {
+		if cur, ok := sh.byID[p.ConnID]; ok && cur.c == c {
 			delete(sh.byID, p.ConnID)
 		}
-		if id, ok := sh.byAddr[key]; ok && id == p.ConnID {
-			delete(sh.byAddr, key)
-		}
-		if cur, ok := sh.gates[p.ConnID]; ok && cur == g {
-			delete(sh.gates, p.ConnID)
+		if id, ok := sh.byAddr[from]; ok && id == p.ConnID {
+			delete(sh.byAddr, from)
 		}
 		sh.mu.Unlock()
 		c.Abort()
-		sh.refuse(p, raddr)
+		sh.refuse(p, from)
 	}
 }
 
-// refuse sends an RST answering packet p to raddr and counts the refusal.
+// refuse sends an RST answering packet p to its source and counts the
+// refusal.
 //
 //iqlint:borrow
-func (sh *shard) refuse(p *packet.Packet, raddr *net.UDPAddr) {
+func (sh *shard) refuse(p *packet.Packet, to netip.AddrPort) {
 	sh.srv.refused.Add(1)
 	if sh.rstBucket != nil && !sh.rstBucket.Allow(time.Now()) {
 		// RST emission is rate-capped per shard so a spoofed flood cannot
@@ -361,7 +379,7 @@ func (sh *shard) refuse(p *packet.Packet, raddr *net.UDPAddr) {
 	if b, err := packet.Encode(rst); err == nil {
 		// Best effort: a dropped RST just means the client times out instead
 		// of failing fast, and the refusal itself is already counted.
-		_ = sh.io.enqueueTx(b, raddr)
+		_ = sh.io.enqueueTx(uio.Msg{B: b, AddrPort: to})
 	}
 }
 
@@ -372,47 +390,74 @@ func (sh *shard) detach(c *udpwire.Conn) {
 	if id == 0 {
 		return
 	}
-	addr := c.RemoteAddr()
 	sh.mu.Lock()
-	if cur, ok := sh.byID[id]; ok && cur == c {
+	if e, ok := sh.byID[id]; ok && e.c == c {
 		delete(sh.byID, id)
-	}
-	if addr != nil {
-		if cur, ok := sh.byAddr[addr.String()]; ok && cur == id {
-			delete(sh.byAddr, addr.String())
+		if cur, ok := sh.byAddr[e.peer]; ok && cur == id {
+			delete(sh.byAddr, e.peer)
 		}
-	}
-	if g, ok := sh.gates[id]; ok && g.conn.Load() == c {
-		delete(sh.gates, id)
 	}
 	sh.mu.Unlock()
 	sh.srv.ledger.Sub(guard.ClassConn, connOverhead)
 	sh.srv.noteClosed(c)
 }
 
-// enqueueTx queues one outbound datagram for the shard's transmit loop.
-// Non-blocking: the protocol machine retransmits on loss, so under extreme
-// overload dropping here is safer than stalling every connection behind a
-// full queue.
-func (sh *shard) enqueueTx(b []byte, peer *net.UDPAddr) error {
+// sendTo is an accepted connection's transmit hook (see udpwire.NewAccepted).
+func (sh *shard) sendTo(b []byte, peer *net.UDPAddr) error {
+	return sh.enqueueTx(uio.Msg{B: b, Addr: peer})
+}
+
+// enqueueTx copies m.B into a recycled buffer and queues the datagram for
+// the shard's transmit loop. It blocks while the queue is full, so nothing
+// is dropped before the kernel: the protocol machine would otherwise have
+// to recover a discarded ACK or FINACK by retransmission timeout. Once the
+// loop has stopped (server closed, socket gone) it returns net.ErrClosed,
+// which the sending machine counts as a transmit error.
+func (sh *shard) enqueueTx(m uio.Msg) error {
+	m.B = append(sh.txBuf(), m.B...)
 	select {
-	case sh.txq <- uio.Msg{B: b, Addr: peer}:
+	case sh.txq <- m:
 		return nil
-	default:
-		sh.txDrops.Add(1)
-		return errTxBacklog
+	case <-sh.txDone:
+		sh.recycleTx([]uio.Msg{m})
+		return net.ErrClosed
 	}
 }
 
-// errTxBacklog reports a datagram dropped because the shard's transmit queue
-// was full. Surfacing it through the sendTo hook lets the owning machine
-// count the drop into its TxErrors metric (and trace it as tx_error) in
-// addition to the shard-wide txDrops counter.
-var errTxBacklog = errors.New("serve: shard tx queue full")
+// txBuf returns an empty datagram buffer from the freelist (nil when it is
+// empty; append then allocates one of the datagram's size).
+func (sh *shard) txBuf() []byte {
+	sh.txMu.Lock()
+	defer sh.txMu.Unlock()
+	n := len(sh.txFree)
+	if n == 0 {
+		return nil
+	}
+	b := sh.txFree[n-1]
+	sh.txFree[n-1] = nil
+	sh.txFree = sh.txFree[:n-1]
+	return b
+}
+
+// recycleTx returns the buffers of sent (or abandoned) datagrams to the
+// freelist; those beyond its bound are left to the garbage collector.
+func (sh *shard) recycleTx(msgs []uio.Msg) {
+	sh.txMu.Lock()
+	for i := range msgs {
+		if len(sh.txFree) < cap(sh.txFree) {
+			sh.txFree = append(sh.txFree, msgs[i].B[:0])
+		}
+		msgs[i] = uio.Msg{}
+	}
+	sh.txMu.Unlock()
+}
 
 // txLoop coalesces queued datagrams into sendmmsg batches: block for the
-// first message, then drain without blocking up to the batch bound.
+// first message, then drain without blocking up to the batch bound. A
+// datagram the kernel refuses is counted in txDrops; only a closed socket
+// (or the server closing) ends the loop.
 func (sh *shard) txLoop(tb *uio.TxBatcher) {
+	defer close(sh.txDone)
 	batch := make([]uio.Msg, 0, sh.srv.opt.Batch)
 	for {
 		batch = batch[:0]
@@ -442,17 +487,9 @@ func (sh *shard) txLoop(tb *uio.TxBatcher) {
 		if sent < len(batch) {
 			sh.txDrops.Add(uint64(len(batch) - sent))
 		}
-		if err != nil && sockClosed(err) {
+		sh.recycleTx(batch)
+		if errors.Is(err, net.ErrClosed) {
 			return
 		}
 	}
-}
-
-// sockClosed reports whether an I/O error means the socket is gone.
-func sockClosed(err error) bool {
-	if err == nil {
-		return false
-	}
-	ne, ok := err.(net.Error)
-	return !ok || !ne.Timeout()
 }

@@ -15,8 +15,8 @@
 //
 // Three sinks ship with the package:
 //
-//   - Ring: a lock-free fixed-size ring buffer for always-on flight
-//     recording and post-mortem dumps;
+//   - Ring: a fixed-size ring buffer of events stored by value, for
+//     always-on flight recording and post-mortem dumps;
 //   - JSONL: a qlog-inspired one-object-per-line JSON writer for offline
 //     analysis (cmd/iqstat reads this format);
 //   - Counters: atomic per-event-type counters plus last-value gauges,

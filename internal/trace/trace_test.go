@@ -71,6 +71,39 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
+// TestRingTraceAllocs pins the flight recorder's steady state: once every
+// slot has been written, tracing copies the event into the ring and
+// allocates nothing.
+func TestRingTraceAllocs(t *testing.T) {
+	r := NewRing(64)
+	e := ev(PacketReceived, 1)
+	for i := 0; i < r.Cap(); i++ {
+		r.Trace(e)
+	}
+	if n := testing.AllocsPerRun(1000, func() { r.Trace(e) }); n != 0 {
+		t.Fatalf("Ring.Trace allocates %.1f per event, want 0", n)
+	}
+}
+
+// TestRingAllocatesOnDemand: a ring that has seen a few events holds only
+// the chunks those events filled, not its whole capacity.
+func TestRingAllocatesOnDemand(t *testing.T) {
+	r := NewRing(64)
+	r.Trace(ev(PacketSent, 1))
+	filled := 0
+	for _, c := range r.chunks {
+		if c != nil {
+			filled++
+		}
+	}
+	if filled != 1 {
+		t.Fatalf("%d chunks allocated after one event, want 1", filled)
+	}
+	if got := r.Events(); len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("events = %+v", got)
+	}
+}
+
 func TestCountersAggregates(t *testing.T) {
 	c := NewCounters()
 	c.Trace(Event{Type: PacketSent, Size: 100})

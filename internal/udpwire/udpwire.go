@@ -1,13 +1,16 @@
 // Package udpwire drives the sans-I/O IQ-RUDP machine over real UDP sockets
 // with goroutines: a reader loop feeding decoded packets into the machine, a
 // hierarchical-timing-wheel timer adapter with reusable handles (see
-// wheeltimer.go), and a buffered delivery queue toward the application. It is the production driver; the simulator (internal/netem +
+// wheeltimer.go), and a buffered delivery queue toward the application. It
+// is the production driver; the simulator (internal/netem +
 // internal/endpoint) is the reproducible one.
 //
 // Concurrency model: one mutex serialises every machine interaction (reader,
-// timers, application sends). Deliveries and threshold callbacks are staged
-// while the lock is held and dispatched after it is released, so application
-// code may freely call back into the connection.
+// timers, application sends). A delivery is pushed onto the receive queue,
+// without blocking, while that lock is held, so messages reach the
+// application in the order the machine produced them whichever goroutine
+// drove it. Threshold callbacks also run under the lock and must not call
+// blocking Conn methods.
 package udpwire
 
 import (
@@ -40,19 +43,20 @@ type Conn struct {
 	dialAddr    string                                  // dialed conns: the dial target, for Resume
 	dialCfg     core.Config                             // dialed conns: the dial config, for Resume
 	resumedFrom uint32                                  // predecessor ConnID when this conn was resumed
+	sockBufErrs uint64                                  // dialed conns: SetReadBuffer/SetWriteBuffer failures
 	local       net.Addr                                // accepted conns: the shared socket's address
 	sendTo      func(b []byte, peer *net.UDPAddr) error // accepted conns: shared-socket writer
+	txScratch   []byte                                  // accepted conns: encode buffer lent to sendTo; guarded by mu
 	onDetach    func(c *Conn)                           // accepted conns: demux-table removal
 	detachOnce  sync.Once
 
-	pendingMsgs []core.Message
 	msgs        chan core.Message
 	established chan struct{}
 	estOnce     sync.Once
 	closed      chan struct{}
 	closeOnce   sync.Once
 
-	dropped uint64 // deliveries discarded because the queue was full
+	dropped uint64 // deliveries discarded because the queue was full; guarded by mu
 
 	// Dialed-connection TX ring. Emit stages encoded datagrams into reused
 	// slot buffers; flushTxLocked hands the whole ring to the batched writer
@@ -97,13 +101,14 @@ func (e env) Emit(p *packet.Packet) {
 		return // passive side before the first SYN: nothing to address
 	}
 	if c.sendTo != nil {
-		// Shared-socket acceptor path: the writer retains the buffer (the
-		// serve engine queues it for its transmit loop), so it must own a
-		// fresh allocation.
-		b, err := packet.Encode(p)
+		// Shared-socket acceptor path: the writer borrows the buffer for the
+		// call only (a writer that queues copies it), so one encode buffer
+		// serves every datagram of the connection.
+		b, err := packet.AppendEncode(c.txScratch[:0], p)
 		if err != nil {
 			return // structurally impossible for machine-built packets
 		}
+		c.txScratch = b
 		if err := c.sendTo(b, c.peer); err != nil {
 			c.m.NoteTxError(1, err)
 		}
@@ -159,32 +164,17 @@ func (c *Conn) flushTxLocked() {
 	}
 }
 
+// Deliver pushes msg onto the receive queue. It runs with mu held, so the
+// reader, the timer goroutine and (for accepted conns) every shard read loop
+// enqueue in the order the machine delivered; the push never blocks.
 func (e env) Deliver(msg core.Message) {
-	e.c.pendingMsgs = append(e.c.pendingMsgs, msg)
-}
-
-// takeDeliveries drains the staged deliveries; called with mu held.
-func (c *Conn) takeDeliveries() []core.Message {
-	out := c.pendingMsgs
-	c.pendingMsgs = nil
-	return out
-}
-
-// dispatch pushes deliveries to the receive queue without holding the lock.
-func (c *Conn) dispatch(msgs []core.Message) {
-	for _, msg := range msgs {
-		select {
-		case c.msgs <- msg:
-		case <-c.closed:
-			return
-		default:
-			// Queue full: drop-newest keeps the connection live; the
-			// transport's own reliability already ran its course, so this is
-			// an application-side overrun, counted for visibility.
-			c.mu.Lock()
-			c.dropped++
-			c.mu.Unlock()
-		}
+	select {
+	case e.c.msgs <- msg:
+	default:
+		// Queue full: drop-newest keeps the connection live; the transport's
+		// own reliability already ran its course, so this is an
+		// application-side overrun, counted for visibility.
+		e.c.dropped++
 	}
 }
 
@@ -215,10 +205,12 @@ func newConn(cfg core.Config, sock *net.UDPConn, peer *net.UDPAddr, wh *wheel.Wh
 // engine's shards): local is the shared socket's bound address, sendTo
 // transmits an encoded packet to a peer (a non-nil error is counted into the
 // machine's TxErrors metric and traced as tx_error, so a dead shared socket
-// or saturated transmit queue is never silent), and onDetach (optional) is
+// or a stopped transmit loop is never silent), and onDetach (optional) is
 // invoked once when the connection closes so the acceptor can drop it from
-// its demux tables. The returned connection is passively open: feed it the
-// peer's SYN (and everything after) via HandleIncoming.
+// its demux tables. sendTo borrows b only for the duration of the call: the
+// connection encodes its next datagram into the same buffer, so a writer
+// that queues must copy. The returned connection is passively open: feed it
+// the peer's SYN (and everything after) via HandleIncoming.
 func NewAccepted(cfg core.Config, local net.Addr, peer *net.UDPAddr, sendTo func(b []byte, peer *net.UDPAddr) error, onDetach func(c *Conn)) *Conn {
 	return NewAcceptedOn(nil, cfg, local, peer, sendTo, onDetach)
 }
@@ -259,6 +251,7 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 			cfg.ConnID = rand.Uint32()
 		}
 	}
+	bufErrs := sizeSockBufs(sock, cfg)
 	tb, err := uio.NewTxBatcher(sock, txRingSize)
 	if err != nil {
 		sock.Close()
@@ -280,6 +273,7 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 	c.ownSocket = true
 	c.dialAddr = raddr
 	c.dialCfg = cfg
+	c.sockBufErrs = bufErrs
 	c.txb, c.rxb = tb, rb
 	go c.readLoop()
 	c.mu.Lock()
@@ -305,6 +299,26 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 		c.abortWith(trace.ReasonHandshakeTimeout)
 		return nil, &OpError{Op: "dial", Addr: raddr, Err: ErrHandshakeTimeout}
 	}
+}
+
+// sizeSockBufs sets a dialed socket's receive and send buffers to
+// RecvWindow × (MSS + 1 KiB), clamped to [256 KiB, 4 MiB], and returns how
+// many of the two settings failed. The peer may keep a whole advertised
+// window in flight, and every packet of it provokes an ACK that lands in
+// the receive buffer; at the kernel's default (208 KiB) a busy dialer
+// overflows and loses the ACKs of a 512-packet window. Below the floor the
+// default already suffices; above the ceiling rmem_max/wmem_max clamp
+// anyway.
+func sizeSockBufs(sock *net.UDPConn, cfg core.Config) uint64 {
+	n := min(max(int(cfg.RecvWindow)*(cfg.MSS+1024), 256<<10), 4<<20)
+	var errs uint64
+	if err := sock.SetReadBuffer(n); err != nil {
+		errs++
+	}
+	if err := sock.SetWriteBuffer(n); err != nil {
+		errs++
+	}
+	return errs
 }
 
 // readLoop decodes incoming datagrams into the machine (dialed conns). Each
@@ -352,9 +366,7 @@ func (c *Conn) handleBatch(msgs []uio.Msg, p *packet.Packet) {
 		c.m.HandlePacket(p)
 	}
 	c.flushTxLocked()
-	out := c.takeDeliveries()
 	c.mu.Unlock()
-	c.dispatch(out)
 }
 
 // HandleIncoming feeds one decoded packet into the connection; acceptors
@@ -381,8 +393,7 @@ func (c *Conn) SetPeer(addr *net.UDPAddr) *net.UDPAddr {
 	return old
 }
 
-// handlePacket feeds one packet through the machine and dispatches staged
-// deliveries.
+// handlePacket feeds one packet through the machine.
 //
 //iqlint:borrow
 func (c *Conn) handlePacket(p *packet.Packet) {
@@ -395,9 +406,7 @@ func (c *Conn) handlePacket(p *packet.Packet) {
 	}
 	c.m.HandlePacket(p)
 	c.flushTxLocked()
-	out := c.takeDeliveries()
 	c.mu.Unlock()
-	c.dispatch(out)
 }
 
 // Send transmits one message (marked = must-deliver).
@@ -541,6 +550,12 @@ func (c *Conn) TxFlushes() uint64 {
 	defer c.mu.Unlock()
 	return c.txFlushes
 }
+
+// SockBufErrs counts the socket-buffer sizing requests that failed when a
+// dialed connection was set up (zero on accepted connections, whose
+// acceptor sizes the shared sockets): nonzero means the connection runs on
+// the kernel's default buffers.
+func (c *Conn) SockBufErrs() uint64 { return c.sockBufErrs }
 
 // DroppedDeliveries counts messages discarded because the application did
 // not drain the receive queue.

@@ -76,7 +76,7 @@ func (t *wtimer) Stop() bool {
 // re-locks the connection, validates the generation, recycles the handle
 // before running the machine callback (so an in-callback re-arm can reuse
 // it), and finishes the machine interaction like every other driver entry
-// point: flush staged TX, dispatch staged deliveries.
+// point by flushing staged TX.
 func (t *wtimer) fire(gen uint64) {
 	c := t.c
 	c.mu.Lock()
@@ -96,9 +96,7 @@ func (t *wtimer) fire(gen uint64) {
 	c.wtFree = append(c.wtFree, t)
 	fn()
 	c.flushTxLocked()
-	out := c.takeDeliveries()
 	c.mu.Unlock()
-	c.dispatch(out)
 }
 
 // After implements core.Env. Called with c.mu held. Steady state pops a

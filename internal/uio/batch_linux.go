@@ -4,6 +4,7 @@ package uio
 
 import (
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -26,6 +27,11 @@ type mmsghdr struct {
 // RxBatcher reads datagram batches from one socket via recvmmsg. With GRO
 // enabled (EnableGRO) one recvmmsg entry can carry a kernel-coalesced run
 // of same-peer datagrams, which Recv splits back into per-segment Msgs.
+//
+// A batcher holds at most one buffer per slot: Release puts the buffers a
+// batch lent out back into the slots they came from, so a batcher that
+// follows the Release-before-Recv contract draws on its pool only for its
+// first fill.
 type RxBatcher struct {
 	rc     syscall.RawConn
 	pool   *BufPool
@@ -37,8 +43,14 @@ type RxBatcher struct {
 	names   [][syscall.SizeofSockaddrAny]byte
 	bufs    [][]byte
 	ctrls   [][groCtrlSpace]byte // cmsg space, allocated when GRO enables
-	lent    [][]byte             // raw pool buffers on loan to the current batch
+	lent    [][]byte             // raw slot buffers on loan to the current batch
 	scratch []Msg
+
+	// The RawConn.Read callback, bound once so Recv allocates nothing, and
+	// the results it reports back.
+	readFn func(fd uintptr) bool
+	got    int
+	serr   error
 }
 
 // NewRxBatcher builds a batcher over sock drawing buffers from pool. The
@@ -48,7 +60,7 @@ func NewRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, erro
 	if err != nil {
 		return nil, err
 	}
-	return &RxBatcher{
+	rb := &RxBatcher{
 		rc:      rc,
 		pool:    pool,
 		hdrs:    make([]mmsghdr, batch),
@@ -57,7 +69,9 @@ func NewRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, erro
 		bufs:    make([][]byte, batch),
 		lent:    make([][]byte, 0, batch),
 		scratch: make([]Msg, 0, batch),
-	}, nil
+	}
+	rb.readFn = rb.recvmmsg
+	return rb, nil
 }
 
 // EnableGRO asks the kernel to coalesce same-peer datagram runs into one
@@ -83,8 +97,8 @@ func (rb *RxBatcher) EnableGRO() bool {
 func (rb *RxBatcher) GROEnabled() bool { return rb.gro }
 
 // NewConnectedRxBatcher is NewRxBatcher for a connect()ed socket: the kernel
-// already filters to one peer, so received messages carry a nil Addr and the
-// per-datagram sockaddr parse (which allocates a *net.UDPAddr) is skipped.
+// already filters to one peer, so received messages carry no address and
+// the per-datagram sockaddr parse is skipped.
 func NewConnectedRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, error) {
 	rb, err := NewRxBatcher(sock, pool, batch)
 	if err != nil {
@@ -122,35 +136,17 @@ func (rb *RxBatcher) Recv() ([]Msg, error) {
 		}
 		rb.hdrs[i].n = 0
 	}
-	var n int
-	var serr error
-	err := rb.rc.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&rb.hdrs[0])), uintptr(len(rb.hdrs)),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			switch errno {
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false
-			case 0:
-				n = int(r1)
-			default:
-				serr = errno
-			}
-			return true
-		}
-	})
-	if err != nil {
+	rb.got, rb.serr = 0, nil
+	if err := rb.rc.Read(rb.readFn); err != nil {
 		return nil, err
 	}
-	if serr != nil {
-		return nil, serr
+	if rb.serr != nil {
+		return nil, rb.serr
 	}
+	n := rb.got
 	msgs := rb.scratch[:0]
 	for i := 0; i < n; i++ {
-		var addr *net.UDPAddr
+		var addr netip.AddrPort
 		if !rb.noAddr {
 			addr = parseSockaddr(&rb.names[i])
 		}
@@ -170,24 +166,57 @@ func (rb *RxBatcher) Recv() ([]Msg, error) {
 				if end > len(data) {
 					end = len(data)
 				}
-				msgs = append(msgs, Msg{B: data[off:end], Addr: addr})
+				msgs = append(msgs, Msg{B: data[off:end], AddrPort: addr})
 			}
 		} else {
-			msgs = append(msgs, Msg{B: data, Addr: addr})
+			msgs = append(msgs, Msg{B: data, AddrPort: addr})
 		}
 	}
 	rb.scratch = msgs
 	return msgs, nil
 }
 
-// Release returns the batch's buffers to the pool. The msgs argument is
-// kept for API symmetry with the portable path: this batcher tracks the
-// raw buffers it lent (a GRO split hands out several views of one buffer,
-// which must be returned exactly once).
+// recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg into
+// the prepared headers, reporting through rb.got and rb.serr.
+func (rb *RxBatcher) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&rb.hdrs[0])), uintptr(len(rb.hdrs)),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+			rb.got = int(r1)
+		default:
+			rb.serr = errno
+		}
+		return true
+	}
+}
+
+// Release hands the batch's buffers back to the batcher's empty slots; any
+// beyond them (only when Recv ran again without a Release) go to the pool.
+// The msgs argument is kept for API symmetry with the portable path: this
+// batcher tracks the raw buffers it lent (a GRO split hands out several
+// views of one buffer, which must be returned exactly once).
 func (rb *RxBatcher) Release(msgs []Msg) {
-	for i, b := range rb.lent {
-		rb.pool.Put(b)
-		rb.lent[i] = nil
+	j := 0
+	for i := range rb.bufs {
+		if j == len(rb.lent) {
+			break
+		}
+		if rb.bufs[i] == nil {
+			rb.bufs[i] = rb.lent[j]
+			rb.lent[j] = nil
+			j++
+		}
+	}
+	for ; j < len(rb.lent); j++ {
+		rb.pool.Put(rb.lent[j])
+		rb.lent[j] = nil
 	}
 	rb.lent = rb.lent[:0]
 }
@@ -206,6 +235,13 @@ type TxBatcher struct {
 	names   [][syscall.SizeofSockaddrAny]byte
 	ctrls   [][gsoCtrlSpace]byte
 	runLens []int // msgs behind each built header, for sent-count mapping
+
+	// The RawConn.Write callback, bound once so Send allocates nothing, the
+	// header range it sends from and what it reports back.
+	writeFn  func(fd uintptr) bool
+	from, to int
+	got      int
+	serr     error
 }
 
 // NewTxBatcher builds a batcher over sock sending up to batch datagrams per
@@ -216,7 +252,7 @@ func NewTxBatcher(sock *net.UDPConn, batch int) (*TxBatcher, error) {
 		return nil, err
 	}
 	la, _ := sock.LocalAddr().(*net.UDPAddr)
-	return &TxBatcher{
+	tb := &TxBatcher{
 		rc:      rc,
 		v6:      la != nil && la.IP.To4() == nil,
 		gso:     probeGSO(rc),
@@ -225,7 +261,9 @@ func NewTxBatcher(sock *net.UDPConn, batch int) (*TxBatcher, error) {
 		names:   make([][syscall.SizeofSockaddrAny]byte, batch),
 		ctrls:   make([][gsoCtrlSpace]byte, batch),
 		runLens: make([]int, batch),
-	}, nil
+	}
+	tb.writeFn = tb.sendmmsg
+	return tb, nil
 }
 
 // GSOEnabled reports whether segmentation offload is active.
@@ -236,8 +274,8 @@ func (tb *TxBatcher) GSOEnabled() bool { return tb.gso }
 func (tb *TxBatcher) SetGSO(on bool) { tb.gso = on }
 
 // Send transmits the batch, returning how many of batch's messages went
-// out. Messages with a nil Addr go to the socket's connected peer (dialed
-// sockets).
+// out. Messages without an address go to the socket's connected peer
+// (dialed sockets).
 func (tb *TxBatcher) Send(batch []Msg) (int, error) {
 	if !tb.gso {
 		return tb.sendPlain(batch)
@@ -254,7 +292,7 @@ func (tb *TxBatcher) sendPlain(batch []Msg) (int, error) {
 	for i := 0; i < n; i++ {
 		tb.iovs[i].Base = &batch[i].B[0]
 		tb.iovs[i].SetLen(len(batch[i].B))
-		tb.setDest(i, batch[i].Addr)
+		tb.setDest(i, batch[i].dest())
 		tb.hdrs[i].hdr.Iov = &tb.iovs[i]
 		tb.hdrs[i].hdr.Iovlen = 1
 		tb.hdrs[i].hdr.Control = nil
@@ -284,6 +322,7 @@ func (tb *TxBatcher) sendGSO(batch []Msg) (int, error) {
 	h := 0 // headers built
 	for consumed := 0; consumed < n; h++ {
 		start := consumed
+		dst := batch[start].dest()
 		segSize := len(batch[start].B)
 		runBytes := segSize
 		runLen := 1
@@ -291,7 +330,7 @@ func (tb *TxBatcher) sendGSO(batch []Msg) (int, error) {
 			for start+runLen < n && runLen < maxGsoSegs {
 				l := len(batch[start+runLen].B)
 				if l == 0 || l > segSize || runBytes+l > maxGsoBytes ||
-					!sameDest(batch[start].Addr, batch[start+runLen].Addr) {
+					batch[start+runLen].dest() != dst {
 					break
 				}
 				runBytes += l
@@ -301,7 +340,7 @@ func (tb *TxBatcher) sendGSO(batch []Msg) (int, error) {
 				}
 			}
 		}
-		tb.setDest(h, batch[start].Addr)
+		tb.setDest(h, dst)
 		tb.hdrs[h].hdr.Iov = &tb.iovs[start]
 		tb.hdrs[h].hdr.Iovlen = uint64(runLen)
 		if runLen > 1 {
@@ -333,9 +372,9 @@ func (tb *TxBatcher) sendGSO(batch []Msg) (int, error) {
 	return sent, serr
 }
 
-// setDest points header i at addr (nil: the connected peer).
-func (tb *TxBatcher) setDest(i int, addr *net.UDPAddr) {
-	if addr != nil {
+// setDest points header i at addr (invalid: the connected peer).
+func (tb *TxBatcher) setDest(i int, addr netip.AddrPort) {
+	if addr.IsValid() {
 		tb.hdrs[i].hdr.Name = &tb.names[i][0]
 		tb.hdrs[i].hdr.Namelen = encodeSockaddr(addr, tb.v6, &tb.names[i])
 	} else {
@@ -349,78 +388,75 @@ func (tb *TxBatcher) setDest(i int, addr *net.UDPAddr) {
 // RawConn error. serr is returned rather than folded so sendGSO can
 // classify offload rejections.
 func (tb *TxBatcher) sendHdrs(from, to int) (int, error, error) {
-	sent := from
-	for sent < to {
-		var got int
-		var serr error
-		err := tb.rc.Write(func(fd uintptr) bool {
-			for {
-				r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&tb.hdrs[sent])), uintptr(to-sent),
-					uintptr(syscall.MSG_DONTWAIT), 0, 0)
-				switch errno {
-				case syscall.EINTR:
-					continue
-				case syscall.EAGAIN:
-					return false
-				case 0:
-					got = int(r1)
-				default:
-					serr = errno
-				}
-				return true
-			}
-		})
-		if err != nil {
-			return sent - from, nil, err
+	tb.from, tb.to = from, to
+	for tb.from < to {
+		tb.got, tb.serr = 0, nil
+		if err := tb.rc.Write(tb.writeFn); err != nil {
+			return tb.from - from, nil, err
 		}
-		if serr != nil {
-			return sent - from, serr, nil
+		if tb.serr != nil {
+			return tb.from - from, tb.serr, nil
 		}
-		if got == 0 {
+		if tb.got == 0 {
 			break
 		}
-		sent += got
+		tb.from += tb.got
 	}
-	return sent - from, nil, nil
+	return tb.from - from, nil, nil
 }
 
-// parseSockaddr converts a raw kernel-filled sockaddr to a *net.UDPAddr.
-func parseSockaddr(b *[syscall.SizeofSockaddrAny]byte) *net.UDPAddr {
+// sendmmsg is the RawConn.Write callback: one non-blocking sendmmsg of
+// headers [tb.from, tb.to), reporting through tb.got and tb.serr.
+func (tb *TxBatcher) sendmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&tb.hdrs[tb.from])), uintptr(tb.to-tb.from),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+			tb.got = int(r1)
+		default:
+			tb.serr = errno
+		}
+		return true
+	}
+}
+
+// parseSockaddr converts a raw kernel-filled sockaddr to an AddrPort, with
+// IPv4-mapped addresses unmapped so one peer always has one key.
+func parseSockaddr(b *[syscall.SizeofSockaddrAny]byte) netip.AddrPort {
 	rsa := (*syscall.RawSockaddrAny)(unsafe.Pointer(b))
 	switch rsa.Addr.Family {
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(b))
-		return &net.UDPAddr{
-			IP:   net.IPv4(sa.Addr[0], sa.Addr[1], sa.Addr[2], sa.Addr[3]),
-			Port: ntohs(sa.Port),
-		}
+		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), ntohs(sa.Port))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(b))
-		ip := make(net.IP, net.IPv6len)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: ntohs(sa.Port)}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), ntohs(sa.Port))
 	}
-	return nil
+	return netip.AddrPort{}
 }
 
 // encodeSockaddr fills buf with peer's raw sockaddr and returns its length.
 // On an AF_INET6 socket IPv4 peers are written as v4-mapped v6 addresses,
 // since Linux rejects AF_INET sockaddrs on v6 sockets.
-func encodeSockaddr(peer *net.UDPAddr, v6 bool, buf *[syscall.SizeofSockaddrAny]byte) uint32 {
-	if ip4 := peer.IP.To4(); ip4 != nil && !v6 {
+func encodeSockaddr(peer netip.AddrPort, v6 bool, buf *[syscall.SizeofSockaddrAny]byte) uint32 {
+	ip := peer.Addr()
+	if ip.Unmap().Is4() && !v6 {
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(buf))
-		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(peer.Port)}
-		copy(sa.Addr[:], ip4)
+		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(peer.Port()), Addr: ip.Unmap().As4()}
 		return syscall.SizeofSockaddrInet4
 	}
 	sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(buf))
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons(peer.Port)}
-	copy(sa.Addr[:], peer.IP.To16())
+	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons(peer.Port()), Addr: ip.As16()}
 	return syscall.SizeofSockaddrInet6
 }
 
 // ntohs/htons convert the network-byte-order port field (amd64 and arm64
 // are both little-endian).
-func ntohs(p uint16) int { return int(p>>8 | p<<8) }
-func htons(p int) uint16 { u := uint16(p); return u>>8 | u<<8 }
+func ntohs(p uint16) uint16 { return p>>8 | p<<8 }
+func htons(p uint16) uint16 { return p>>8 | p<<8 }

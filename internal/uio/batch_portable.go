@@ -2,7 +2,10 @@
 
 package uio
 
-import "net"
+import (
+	"net"
+	"net/netip"
+)
 
 // Portable I/O path: one datagram per syscall via the net package. The
 // Linux fast path (batch_linux.go) moves a batch of datagrams per
@@ -22,7 +25,7 @@ func NewRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, erro
 }
 
 // NewConnectedRxBatcher is NewRxBatcher for a connect()ed socket: received
-// messages carry a nil Addr (the peer is fixed).
+// messages carry no address (the peer is fixed).
 func NewConnectedRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, error) {
 	return &RxBatcher{sock: sock, pool: pool, connected: true}, nil
 }
@@ -34,19 +37,20 @@ func (rb *RxBatcher) Recv() ([]Msg, error) {
 	buf := rb.pool.Get()
 	var (
 		n     int
-		raddr *net.UDPAddr
+		raddr netip.AddrPort
 		err   error
 	)
 	if rb.connected {
 		n, err = rb.sock.Read(buf)
 	} else {
-		n, raddr, err = rb.sock.ReadFromUDP(buf)
+		n, raddr, err = rb.sock.ReadFromUDPAddrPort(buf)
+		raddr = netip.AddrPortFrom(raddr.Addr().Unmap(), raddr.Port())
 	}
 	if err != nil {
 		rb.pool.Put(buf)
 		return nil, err
 	}
-	rb.scratch[0] = Msg{B: buf[:n], Addr: raddr}
+	rb.scratch[0] = Msg{B: buf[:n], AddrPort: raddr}
 	return rb.scratch[:1], nil
 }
 
@@ -68,17 +72,18 @@ func NewTxBatcher(sock *net.UDPConn, batch int) (*TxBatcher, error) {
 }
 
 // Send transmits the batch, returning how many datagrams went out and the
-// first error encountered. Messages with a nil Addr go to the socket's
+// first error encountered. Messages without an address go to the socket's
 // connected peer (dialed sockets).
 func (tb *TxBatcher) Send(batch []Msg) (int, error) {
 	sent := 0
 	var firstErr error
-	for _, m := range batch {
+	for i := range batch {
+		m := &batch[i]
 		var err error
-		if m.Addr == nil {
-			_, err = tb.sock.Write(m.B)
+		if dst := m.dest(); dst.IsValid() {
+			_, err = tb.sock.WriteToUDPAddrPort(m.B, dst)
 		} else {
-			_, err = tb.sock.WriteToUDP(m.B, m.Addr)
+			_, err = tb.sock.Write(m.B)
 		}
 		if err != nil {
 			if firstErr == nil {

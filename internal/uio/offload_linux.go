@@ -114,18 +114,6 @@ func groSegSize(ctrl []byte) int {
 	return 0
 }
 
-// sameDest reports whether two TX messages target the same peer (nil means
-// the socket's connected peer).
-func sameDest(a, b *net.UDPAddr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
-}
-
 // gsoFatal classifies a sendmmsg errno as "this socket/path rejects GSO":
 // the batcher disables offload and resends plainly. Transient errnos
 // (ENOBUFS, ENOMEM) are not in the set — they surface to the caller as on

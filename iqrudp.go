@@ -29,7 +29,7 @@
 // machine decision point: state changes, per-packet lifecycle, RTO
 // activity, window updates with their LDA inputs, measurement periods,
 // threshold callbacks and the coordination decisions of the paper's Cases
-// 1–3. Three sinks ship with the package — NewTraceRing (lock-free flight
+// 1–3. Three sinks ship with the package — NewTraceRing (flight
 // recorder), NewTraceJSONL (offline analysis; cmd/iqstat reads it) and
 // NewTraceCounters (live aggregates) — composable via MultiTracer. The
 // metricsexp subpackage serves the counters as Prometheus text and expvar
@@ -135,7 +135,7 @@ type (
 	TraceEvent = trace.Event
 	// TraceEventType enumerates the event taxonomy.
 	TraceEventType = trace.Type
-	// TraceRing is the lock-free fixed-size flight recorder sink.
+	// TraceRing is the fixed-size flight recorder sink.
 	TraceRing = trace.Ring
 	// TraceJSONL is the one-JSON-object-per-line offline-analysis sink.
 	TraceJSONL = trace.JSONL
