@@ -36,7 +36,7 @@ bench-compile: ## bench/ is its own module, outside ./...: vet and test it so an
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine and the data-path allocation pins
+race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine (incl. TestRouteDataAckAllocs and TestRunCoalescesAcks: one ACK per receive run) and the data-path allocation pins
 	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer|TestDialedHandleBatchAllocs' ./internal/udpwire/
 	$(GO) test -race -run 'Allocs' ./internal/uio/ ./internal/trace/
 	$(GO) test -race ./internal/packet/
@@ -51,11 +51,12 @@ attack-smoke: ## hostile-traffic soak under -race: spoofed SYN flood vs stateles
 	$(GO) test -race -count=1 -v -run 'TestAttackSoak|TestAttackReplayAndGarbage' ./internal/chaoswire/
 	$(GO) test -race -count=1 -run 'TestDialThroughRetry|TestSynFloodStateless|TestCookieReplayRejected|TestAmpGate|TestRstRateCap|TestZombieEviction' ./internal/serve/
 
-fuzz-smoke: ## bounded fuzz pass over the decoders and the reassembler
+fuzz-smoke: ## bounded fuzz pass over the decoders, the reassembler and ACK coalescing in receive runs
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 20s -run '^$$' ./internal/packet/
 	$(GO) test -fuzz '^FuzzDecodeInto$$' -fuzztime 20s -run '^$$' ./internal/packet/
 	$(GO) test -fuzz '^FuzzAttrDecode$$' -fuzztime 20s -run '^$$' ./internal/attr/
 	$(GO) test -fuzz '^FuzzReassembly$$' -fuzztime 20s -run '^$$' ./internal/core/
+	$(GO) test -fuzz '^FuzzAckRuns$$' -fuzztime 20s -run '^$$' ./internal/core/
 
 bench: ## nil-tracer send-path benchmarks (compare against a saved baseline)
 	$(GO) test -bench . -benchtime 3x -run '^$$' .

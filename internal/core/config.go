@@ -10,6 +10,13 @@
 // expirations, and produces outputs through an injected Env. The same
 // machine runs under the deterministic simulator (internal/netem) and over
 // real UDP sockets (internal/udpwire).
+//
+// Acknowledgement frequency is the driver's to choose. Fed packet by packet
+// through HandlePacket, the machine answers every DATA packet with an ACK;
+// that is what the simulator does. A driver that receives datagrams in
+// kernel batches brackets each batch with BeginRun and EndRun, and the
+// machine then acknowledges in-order data once per run while still
+// answering every reorder, duplicate, hole and control packet at once.
 package core
 
 import (

@@ -12,9 +12,10 @@ import (
 // nullEnv drives a machine with no wire and manually-run timers — enough to
 // unit-test the coordination and measurement logic in isolation.
 type nullEnv struct {
-	now     time.Duration
-	emitted []*packet.Packet
-	timers  []*nullTimer
+	now       time.Duration
+	emitted   []*packet.Packet
+	delivered []Message
+	timers    []*nullTimer
 }
 
 type nullTimer struct {
@@ -38,7 +39,7 @@ func (e *nullEnv) Emit(p *packet.Packet) {
 	q.Eacks = append([]uint32(nil), p.Eacks...)
 	e.emitted = append(e.emitted, &q)
 }
-func (e *nullEnv) Deliver(msg Message) {}
+func (e *nullEnv) Deliver(msg Message) { e.delivered = append(e.delivered, msg) }
 func (e *nullEnv) After(d time.Duration, fn func()) Timer {
 	t := &nullTimer{at: e.now + d, fn: fn}
 	e.timers = append(e.timers, t)

@@ -32,7 +32,10 @@ type Timer interface {
 // Env is the machine's window on the outside world. All methods are invoked
 // from whatever context drives the machine (the simulator event loop or the
 // socket driver's lock); the machine itself never creates goroutines and
-// never consults wall-clock time.
+// never consults wall-clock time. A driver that opens a receive run
+// (Machine.BeginRun) sees an ACK emitted no later than its EndRun, inside
+// the same serialisation context, so no acknowledgement is ever owed once
+// that context is left.
 type Env interface {
 	// Now returns the current (virtual) time.
 	Now() time.Duration

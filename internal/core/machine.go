@@ -118,6 +118,14 @@ type Machine struct {
 	peerTol  float64 // peer's (receiver) declared loss tolerance — our budget when sending
 	localTol float64
 
+	// Receive runs (see BeginRun): inside one, in-order DATA that leaves no
+	// hole only owes an acknowledgement. ackOwed counts the packets the owed
+	// ACK covers and ackOwedTS is the earliest one's timestamp, which that
+	// ACK echoes.
+	inRun     bool
+	ackOwed   int
+	ackOwedTS time.Duration
+
 	// Adaptive reliability accounting (sender side): fraction of application
 	// messages not delivered must stay within peerTol.
 	relMsgsTotal   uint64          // messages offered by the application
@@ -458,6 +466,7 @@ func (m *Machine) abortWith(reason string) {
 		return
 	}
 	m.closeReason = reason
+	m.ackOwed = 0 // a dead machine acknowledges nothing, not even at EndRun
 	m.setStateReason(stDead, reason)
 	// Snapshot the black box after the dead edge traced above, so the
 	// record's event ring ends with the fatal transition.
@@ -553,6 +562,10 @@ func (m *Machine) NoteTxError(n uint64, err error) {
 // for the duration of the call: anything it must keep (out-of-order
 // buffering, fragment payloads) is copied, so the caller may reuse the
 // packet and its buffers as soon as HandlePacket returns.
+//
+// Outside a receive run every DATA packet is acknowledged as it is handled.
+// Inside one (BeginRun … EndRun) in-order data is acknowledged once for the
+// whole run; see BeginRun.
 func (m *Machine) HandlePacket(p *packet.Packet) {
 	if m.state == stDead {
 		return
@@ -589,6 +602,41 @@ func (m *Machine) HandlePacket(p *packet.Packet) {
 			// (backlog full, ConnID collision, draining).
 			m.abortWith(trace.ReasonRefused)
 		}
+	}
+}
+
+// BeginRun opens a receive run: the driver is about to feed a batch of
+// datagrams it received together through HandlePacket, within the same
+// serialisation context, and will call EndRun right after the last one.
+// Inside the run an in-order DATA arrival that leaves the out-of-order
+// buffer empty does not emit an ACK; it only marks one as owed. Every other
+// arrival — out of order, duplicate, one that leaves a hole, NUL, FIN, the
+// handshake legs — is answered immediately, exactly as outside a run, and
+// that answer also settles whatever was owed. The owed ACK goes out at
+// EndRun, or earlier once it covers a quarter of the advertised window, and
+// echoes the timestamp of the earliest packet it covers (RFC 7323 §4.3), so
+// the peer's RTT samples include the coalescing delay.
+func (m *Machine) BeginRun() { m.inRun = true }
+
+// EndRun closes the receive run opened by BeginRun and emits the ACK it
+// owes, if any. Nothing is owed once it returns; a machine that died during
+// the run emits nothing.
+func (m *Machine) EndRun() {
+	m.inRun = false
+	if m.ackOwed > 0 {
+		m.sendAck()
+	}
+}
+
+// oweAck records an in-order arrival whose acknowledgement a receive run
+// defers (see BeginRun); ts is the arrival's sender timestamp.
+func (m *Machine) oweAck(ts time.Duration) {
+	if m.ackOwed == 0 {
+		m.ackOwedTS = ts
+	}
+	m.ackOwed++
+	if m.ackOwed >= max(1, int(m.advertiseWnd())/4) {
+		m.sendAck()
 	}
 }
 
@@ -665,7 +713,7 @@ func (m *Machine) synAckRetry() {
 func (m *Machine) handleSynAck(p *packet.Packet) {
 	if m.state == stEstablished && m.initiator {
 		// Our final handshake ACK was lost; the peer is retrying.
-		m.sendAck(false)
+		m.sendAck()
 		return
 	}
 	if m.state != stSynSent {
@@ -684,7 +732,7 @@ func (m *Machine) handleSynAck(p *packet.Packet) {
 	}
 	m.establish()
 	// Complete the three-way exchange so the passive side establishes too.
-	m.sendAck(false)
+	m.sendAck()
 }
 
 //iqlint:borrow
@@ -693,7 +741,7 @@ func (m *Machine) handleNul(p *packet.Packet) {
 		m.applyFwd(p.Fwd)
 	}
 	// NUL probes elicit an acknowledgement so the sender sees liveness.
-	m.sendAck(false)
+	m.sendAck()
 }
 
 // PeerTolerance returns the loss tolerance declared by the remote receiver.

@@ -11,7 +11,9 @@ import (
 )
 
 // handleData processes an incoming DATA packet: buffer or deliver in order,
-// then acknowledge. The packet is borrowed from the caller for the duration
+// then acknowledge — at once, or, for in-order data that leaves no hole
+// inside a receive run, at the run's end (see BeginRun). The packet is
+// borrowed from the caller for the duration
 // of the call only (see HandlePacket); anything the machine must keep — an
 // out-of-order packet, a fragment payload — is copied.
 //
@@ -61,7 +63,11 @@ func (m *Machine) handleData(p *packet.Packet) {
 			Marked: p.Marked(), Reason: reason,
 		})
 	}
-	m.sendAckEcho(true, p.TS)
+	if m.inRun && reason == "" && len(m.ooo) == 0 {
+		m.oweAck(p.TS)
+	} else {
+		m.sendAckEcho(p.TS)
+	}
 	// Every arrival — fresh, duplicate or out-of-order — feeds the repair
 	// decoder after normal processing; reconstructions it unlocks re-enter
 	// HandlePacket from the hook (and land back here, including in this

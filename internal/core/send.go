@@ -812,6 +812,14 @@ func (m *Machine) onRtxTimeout() {
 	if !earliest.marked() && m.canSkipFragment(earliest) {
 		m.skipPacket(earliest)
 	} else {
+		// A forward point the receiver has not acknowledged past rides on
+		// the retransmission. The one packet that carried it may have been
+		// lost, and while packets are outstanding no probe repeats it: a
+		// receiver parking more out-of-order packets than one EACK reports
+		// behind the skipped hole would never acknowledge the rest.
+		if packet.SeqLT(m.sndUna, m.fwdSeq) {
+			m.fwdPending = true
+		}
 		m.transmit(earliest, true)
 	}
 	m.armRtx()
@@ -835,14 +843,20 @@ func (m *Machine) advertiseWnd() uint16 {
 
 // sendAck emits a pure acknowledgement; extents selects EACK form when
 // out-of-order data is buffered.
-func (m *Machine) sendAck(dataTrigger bool) {
-	m.sendAckEcho(dataTrigger, 0)
+func (m *Machine) sendAck() {
+	m.sendAckEcho(0)
 }
 
 // sendAckEcho emits an acknowledgement echoing tsEcho for RTT measurement.
+// An acknowledgement owed by a receive run is settled by this one, which
+// then echoes the owed run's earliest timestamp instead (see BeginRun).
 // The ack is staged in the machine's scratch packet and its EACK list in the
 // machine's scratch slice; both are free for reuse once Emit returns.
-func (m *Machine) sendAckEcho(dataTrigger bool, tsEcho time.Duration) {
+func (m *Machine) sendAckEcho(tsEcho time.Duration) {
+	if m.ackOwed > 0 {
+		tsEcho = m.ackOwedTS
+		m.ackOwed = 0
+	}
 	typ := packet.ACK
 	m.outEacks = m.appendSortedEacks(m.outEacks[:0], 64)
 	if len(m.outEacks) > 0 {
@@ -867,5 +881,4 @@ func (m *Machine) sendAckEcho(dataTrigger bool, tsEcho time.Duration) {
 	}
 	m.lastSent = m.env.Now()
 	m.env.Emit(&m.out)
-	_ = dataTrigger
 }

@@ -42,3 +42,13 @@ func PeekConnID(b []byte) (id uint32, ok bool) {
 	}
 	return binary.BigEndian.Uint32(b[3:]), true
 }
+
+// PeekType extracts the packet type from an encoded datagram, unverified
+// like PeekConnID: the serve engine uses the pair to cut a receive batch
+// into same-connection runs before any datagram is decoded.
+func PeekType(b []byte) (Type, bool) {
+	if len(b) < headerLen {
+		return 0, false
+	}
+	return Type(b[1]), true
+}

@@ -51,15 +51,102 @@ func TestSaturatedDefaultWindow(t *testing.T) {
 		}
 	}()
 
-	const conns, backpressure = 2, 512
+	cs := blast(t, srv, cfg, 2, 2*time.Second)
+
+	var drops uint64
+	for _, sh := range srv.Stats().Shards {
+		drops += sh.TxDrops
+	}
+	if drops != 0 {
+		t.Errorf("engine dropped %d datagrams before the kernel", drops)
+	}
+	for i, c := range cs {
+		m := c.Metrics()
+		t.Logf("conn %d: %v", i, m)
+		if m.Retransmits != 0 {
+			t.Errorf("conn %d retransmitted %d packets", i, m.Retransmits)
+		}
+		if m.Cwnd <= 2 {
+			t.Errorf("conn %d window collapsed to %.1f", i, m.Cwnd)
+		}
+		if n := c.SockBufErrs(); n != 0 {
+			t.Errorf("conn %d: %d socket-buffer sizing failures", i, n)
+		}
+	}
+	for i, c := range cs {
+		closeGracefully(t, i, c)
+	}
+}
+
+// TestRunCoalescesAcks: the read loop applies each same-connection run of a
+// receive batch under one lock section, so a closed-loop blast of small
+// messages is acknowledged about once per run instead of once per packet —
+// without costing a retransmission, a dropped delivery or a graceful close.
+// It runs on one P, like TestSaturatedDefaultWindow: with two, the engine
+// outpaces a receiving goroutine that is woken per message and overruns
+// its delivery queue, with per-packet acknowledgement as well (receive
+// back-pressure is a separate matter).
+func TestRunCoalescesAcks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2 s blast")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	cfg := core.DefaultConfig()
+	srv, err := Listen("127.0.0.1:0", cfg, Options{Shards: 1, DrainTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	accepted := make(chan *udpwire.Conn, 1)
+	go func() {
+		sc, err := srv.Accept(0)
+		if err != nil {
+			return
+		}
+		accepted <- sc
+		for {
+			if _, err := sc.Recv(0); err != nil {
+				return
+			}
+		}
+	}()
+
+	before := srv.Stats().Shards[0]
+	c := blast(t, srv, cfg, 1, 2*time.Second)[0]
+	after := srv.Stats().Shards[0]
+	rx, tx := after.RxPackets-before.RxPackets, after.TxPackets-before.TxPackets
+	m := c.Metrics()
+	t.Logf("sink rx %d tx %d (%.3f); dialer %v", rx, tx, float64(tx)/float64(rx), m)
+	if rx == 0 || float64(tx)/float64(rx) > 0.15 {
+		t.Errorf("sink sent %d datagrams for %d received, want at most 0.15 per datagram", tx, rx)
+	}
+	if m.Retransmits != 0 {
+		t.Errorf("dialer retransmitted %d packets", m.Retransmits)
+	}
+	sc := <-accepted
+	if n := sc.DroppedDeliveries(); n != 0 {
+		t.Errorf("sink dropped %d deliveries", n)
+	}
+	closeGracefully(t, 0, c)
+}
+
+// blast dials conns connections to srv and sends 64 B marked messages on
+// each, closed loop behind a 512-packet send queue, for d; it returns the
+// connections once every one has drained its send queue and flight. They
+// are aborted when the test ends.
+func blast(t *testing.T, srv *Server, cfg core.Config, conns int, d time.Duration) []*udpwire.Conn {
+	t.Helper()
+	const backpressure = 512
 	cs := make([]*udpwire.Conn, conns)
 	for i := range cs {
+		var err error
 		if cs[i], err = udpwire.Dial(srv.Addr().String(), cfg, 5*time.Second); err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
-		defer cs[i].Abort()
+		t.Cleanup(cs[i].Abort)
 	}
-	stop := time.Now().Add(2 * time.Second)
+	stop := time.Now().Add(d)
 	var wg sync.WaitGroup
 	for _, c := range cs {
 		wg.Add(1)
@@ -86,36 +173,20 @@ func TestSaturatedDefaultWindow(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	return cs
+}
 
-	var drops uint64
-	for _, sh := range srv.Stats().Shards {
-		drops += sh.TxDrops
+// closeGracefully closes c and fails the test unless the FIN exchange
+// finished promptly.
+func closeGracefully(t *testing.T, i int, c *udpwire.Conn) {
+	t.Helper()
+	t0 := time.Now()
+	c.Close()
+	if d := time.Since(t0); d >= 100*time.Millisecond {
+		t.Errorf("conn %d: graceful Close took %v", i, d)
 	}
-	if drops != 0 {
-		t.Errorf("engine dropped %d datagrams before the kernel", drops)
-	}
-	for i, c := range cs {
-		m := c.Metrics()
-		t.Logf("conn %d: %v", i, m)
-		if m.Retransmits != 0 {
-			t.Errorf("conn %d retransmitted %d packets", i, m.Retransmits)
-		}
-		if m.Cwnd <= 2 {
-			t.Errorf("conn %d window collapsed to %.1f", i, m.Cwnd)
-		}
-		if n := c.SockBufErrs(); n != 0 {
-			t.Errorf("conn %d: %d socket-buffer sizing failures", i, n)
-		}
-	}
-	for i, c := range cs {
-		t0 := time.Now()
-		c.Close()
-		if d := time.Since(t0); d >= 100*time.Millisecond {
-			t.Errorf("conn %d: graceful Close took %v", i, d)
-		}
-		if r := c.CloseReason(); r == trace.ReasonFinTimeout {
-			t.Errorf("conn %d closed by %s", i, r)
-		}
+	if r := c.CloseReason(); r == trace.ReasonFinTimeout {
+		t.Errorf("conn %d closed by %s", i, r)
 	}
 }
 

@@ -86,11 +86,12 @@ func (srv *Server) homeShard(id uint32) *shard {
 	return srv.shards[int(id)%len(srv.shards)]
 }
 
-// readLoop pulls batches of datagrams off the socket and routes each to the
-// ConnID's home shard. Buffers come from rb's pool; packet.DecodeInto copies
-// the payload out, so the batch's buffers are released as soon as every
-// datagram has been parsed and routed. One pooled Packet is recycled across
-// all datagrams: route — and the machine under it — only borrows the packet
+// readLoop pulls batches of datagrams off the socket, cuts each batch into
+// receive runs (see runLen) and routes every run to its ConnID's home
+// shard. Buffers come from rb's pool; packet.DecodeInto copies the payload
+// out, so the batch's buffers are released as soon as every datagram has
+// been parsed and routed. One pooled Packet is recycled across all
+// datagrams: routeRun — and the machine under it — only borrows the packet
 // for the duration of the call (see the Env.Emit / Machine.HandlePacket
 // ownership contract in core).
 func (sh *shard) readLoop(rb *uio.RxBatcher) {
@@ -116,18 +117,88 @@ func (sh *shard) readLoop(rb *uio.RxBatcher) {
 			sh.rxBatchH.Record(int64(len(msgs)))
 			began = time.Now()
 		}
-		for _, m := range msgs {
-			if err := packet.DecodeInto(p, m.B, p.Payload); err != nil {
-				sh.rxErrors.Add(1)
-				continue
+		for i := 0; i < len(msgs); {
+			run := msgs[i : i+runLen(msgs[i:])]
+			id, _ := packet.PeekConnID(run[0].B)
+			if bad := sh.srv.homeShard(id).routeRun(id, run, p); bad > 0 {
+				sh.rxErrors.Add(uint64(bad))
 			}
-			sh.srv.homeShard(p.ConnID).route(p, m.AddrPort)
+			i += len(run)
 		}
 		if sh.dispatchH != nil {
 			sh.dispatchH.RecordDur(time.Since(began))
 		}
 		rb.Release(msgs)
 	}
+}
+
+// runLen returns how many leading datagrams of msgs form one receive run:
+// consecutive datagrams from one source carrying one ConnID, none of them a
+// SYN. A SYN, or a datagram too short to carry a header, is a run of one.
+// The header fields are peeked unverified; a datagram whose checksum fails
+// is counted when its run is decoded.
+func runLen(msgs []uio.Msg) int {
+	id, _ := packet.PeekConnID(msgs[0].B)
+	if typ, ok := packet.PeekType(msgs[0].B); !ok || typ == packet.SYN {
+		return 1
+	}
+	n := 1
+	for ; n < len(msgs) && msgs[n].AddrPort == msgs[0].AddrPort; n++ {
+		next, _ := packet.PeekConnID(msgs[n].B)
+		if typ, ok := packet.PeekType(msgs[n].B); !ok || typ == packet.SYN || next != id {
+			break
+		}
+	}
+	return n
+}
+
+// routeRun applies one receive run (see runLen) for ConnID id on its home
+// shard and returns how many of its datagrams failed to decode. A run for a known
+// connection takes one table lookup: its datagrams credit the connection's
+// anti-amplification gate one by one, a new source migrates the
+// connection, and the whole run is applied under one Conn.mu section, so
+// its in-order data is acknowledged once. SYNs and datagrams for unknown
+// ConnIDs are decoded and demultiplexed one at a time by route.
+//
+//iqlint:borrow
+func (sh *shard) routeRun(id uint32, run []uio.Msg, p *packet.Packet) (bad int) {
+	sh.mu.RLock()
+	e, ok := sh.byID[id]
+	sh.mu.RUnlock()
+	if typ, _ := packet.PeekType(run[0].B); !ok || typ == packet.SYN {
+		for _, m := range run {
+			if err := packet.DecodeInto(p, m.B, p.Payload); err != nil {
+				bad++
+				continue
+			}
+			sh.route(p, m.AddrPort)
+		}
+		return bad
+	}
+	if g := e.gate; g != nil {
+		for _, m := range run {
+			g.credit(len(m.B))
+		}
+		sh.promoteGate(id, g)
+	}
+	if from := run[0].AddrPort; e.peer != from {
+		sh.migrate(id, e.c, from)
+	}
+	return e.c.HandleRun(run, p)
+}
+
+// promoteGate drops connection id's anti-amplification gate from the table
+// once the peer's handshake has completed and the gate latched open.
+func (sh *shard) promoteGate(id uint32, g *ampGate) {
+	if !g.promote() {
+		return
+	}
+	sh.mu.Lock()
+	if cur, ok := sh.byID[id]; ok && cur.gate == g {
+		cur.gate = nil
+		sh.byID[id] = cur
+	}
+	sh.mu.Unlock()
 }
 
 // route applies the demux rules to one inbound packet on its home shard.
@@ -140,17 +211,9 @@ func (sh *shard) route(p *packet.Packet, from netip.AddrPort) {
 
 	if g := e.gate; g != nil {
 		// Every datagram from the unvalidated peer buys it 3x response
-		// budget; once the handshake completes the gate latches open and
-		// can be dropped from the table.
+		// budget.
 		g.credit(p.WireSize())
-		if g.promote() {
-			sh.mu.Lock()
-			if cur, ok := sh.byID[p.ConnID]; ok && cur.gate == g {
-				cur.gate = nil
-				sh.byID[p.ConnID] = cur
-			}
-			sh.mu.Unlock()
-		}
+		sh.promoteGate(p.ConnID, g)
 	}
 
 	if ok {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestDialedHandleBatchAllocs pins the dialed receive path: a batch of DATA
-// datagrams applied in one lock section, the ACKs flushed through the TX
-// ring and the messages pushed onto the receive queue allocate only the
+// datagrams applied as one receive run, its ACK flushed through the TX ring
+// and the messages pushed onto the receive queue allocate only the
 // delivered payloads. The test plays the read loop and the server, so no
 // goroutine but its own touches the connection.
 func TestDialedHandleBatchAllocs(t *testing.T) {
@@ -61,7 +61,7 @@ func TestDialedHandleBatchAllocs(t *testing.T) {
 		msgs[i].B = wire[i]
 	}
 	encode(0, &packet.Packet{Type: packet.SYNACK, ConnID: syn.ConnID, Seq: serverISN, Ack: syn.Seq + 1, Wnd: 64})
-	c.handleBatch(msgs[:1], &p)
+	c.HandleRun(msgs[:1], &p)
 	if !c.Handshaked() {
 		t.Fatal("SYNACK did not establish the connection")
 	}
@@ -77,7 +77,7 @@ func TestDialedHandleBatchAllocs(t *testing.T) {
 			seq++
 			msgID++
 		}
-		c.handleBatch(msgs, &p)
+		c.HandleRun(msgs, &p)
 		for range msgs {
 			if msg, err := c.Recv(0); err != nil || len(msg.Data) != len(payload) {
 				t.Fatalf("Recv = %d bytes, %v", len(msg.Data), err)

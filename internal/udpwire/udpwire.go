@@ -69,9 +69,9 @@ type Conn struct {
 	txFlushes uint64
 
 	// Dialed-connection RX batcher (recvmmsg on Linux): readLoop drains a
-	// whole kernel batch and applies it under a single lock acquisition, so
-	// the responses it provokes (acks for every packet in the batch) leave as
-	// one batched transmit. Owned by readLoop; not guarded by mu.
+	// whole kernel batch and applies it as one receive run (HandleRun), so
+	// in-order data in the batch is acknowledged once and the responses
+	// leave as one batched transmit. Owned by readLoop; not guarded by mu.
 	rxb *uio.RxBatcher
 
 	// Timing-wheel timer backend (see wheeltimer.go): the wheel driving
@@ -336,28 +336,35 @@ func (c *Conn) readLoop() {
 			c.abortWith(trace.ReasonSockErr)
 			return
 		}
-		c.handleBatch(msgs, &p)
+		c.HandleRun(msgs, &p)
 		c.rxb.Release(msgs)
 	}
 }
 
-// handleBatch feeds a batch of raw datagrams through the machine in one lock
-// section: acks provoked by every packet in the batch accumulate in the TX
-// ring and leave as a single batched transmit at the end.
+// HandleRun decodes msgs into p and applies them to the machine as one
+// receive run (core.Machine.BeginRun) in one lock section: in-order data is
+// acknowledged once for the whole run, and everything the run provokes
+// leaves in a single flush of the TX path at the end. Dialed connections
+// feed it each kernel batch; acceptors feed it the datagrams of a batch
+// that belong to this connection. p is recycled across the run — the
+// machine only borrows it per packet — and msgs are not retained. It
+// returns how many datagrams failed to decode.
 //
 //iqlint:borrow
-func (c *Conn) handleBatch(msgs []uio.Msg, p *packet.Packet) {
+func (c *Conn) HandleRun(msgs []uio.Msg, p *packet.Packet) (bad int) {
 	c.mu.Lock()
 	select {
 	case <-c.closed:
 		c.mu.Unlock()
-		return
+		return 0
 	default:
 	}
 	id := c.m.ConnID()
+	c.m.BeginRun()
 	for _, msg := range msgs {
 		if err := packet.DecodeInto(p, msg.B, p.Payload); err != nil {
-			continue // corrupt or foreign datagram
+			bad++ // corrupt or foreign datagram
+			continue
 		}
 		if id != 0 && p.ConnID != 0 && p.ConnID != id {
 			continue // a different connection's packet (e.g. a predecessor
@@ -365,13 +372,17 @@ func (c *Conn) handleBatch(msgs []uio.Msg, p *packet.Packet) {
 		}
 		c.m.HandlePacket(p)
 	}
+	c.m.EndRun()
 	c.flushTxLocked()
 	c.mu.Unlock()
+	return bad
 }
 
-// HandleIncoming feeds one decoded packet into the connection; acceptors
-// demultiplexing a shared socket call it from their read loops. Safe for
-// concurrent use (the connection lock serialises the machine).
+// HandleIncoming feeds one decoded packet into the connection outside any
+// receive run, so a DATA packet is acknowledged at once; acceptors call it
+// for packets they decoded themselves (a SYN, the Listener's one-datagram
+// reads) and HandleRun for a run of raw datagrams. Safe for concurrent use
+// (the connection lock serialises the machine).
 func (c *Conn) HandleIncoming(p *packet.Packet) { c.handlePacket(p) }
 
 // ID returns the wire connection ID (zero on the passive side until the

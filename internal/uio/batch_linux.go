@@ -5,6 +5,7 @@ package uio
 import (
 	"net"
 	"net/netip"
+	"runtime"
 	"syscall"
 	"unsafe"
 )
@@ -31,12 +32,13 @@ type mmsghdr struct {
 // A batcher holds at most one buffer per slot: Release puts the buffers a
 // batch lent out back into the slots they came from, so a batcher that
 // follows the Release-before-Recv contract draws on its pool only for its
-// first fill.
+// first fill — or never, once EnableGRO has mapped its slots (see mapSlots).
 type RxBatcher struct {
 	rc     syscall.RawConn
 	pool   *BufPool
 	noAddr bool // connected socket: source is fixed, skip sockaddr work
 	gro    bool // kernel coalescing active: parse UDP_GRO cmsgs, split
+	mapped bool // slot buffers live in an anonymous mapping, not the pool
 
 	hdrs    []mmsghdr
 	iovs    []syscall.Iovec
@@ -75,9 +77,11 @@ func NewRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, erro
 }
 
 // EnableGRO asks the kernel to coalesce same-peer datagram runs into one
-// recvmmsg entry, reporting whether the socket accepted it. The caller must
-// draw buffers from a pool sized for coalesced datagrams (up to 64KiB; see
-// ProbeOffload). Call before the first Recv.
+// recvmmsg entry, reporting whether the socket accepted it, and backs every
+// slot with a GROBufSize buffer outside the Go heap (see mapSlots). The
+// caller's pool must still be sized for coalesced datagrams (up to 64KiB;
+// see ProbeOffload): it serves the slots if the mapping fails. Call before
+// the first Recv.
 func (rb *RxBatcher) EnableGRO() bool {
 	if rb.gro {
 		return true
@@ -90,7 +94,30 @@ func (rb *RxBatcher) EnableGRO() bool {
 	}
 	rb.gro = true
 	rb.ctrls = make([][groCtrlSpace]byte, len(rb.hdrs))
+	rb.mapSlots()
 	return true
+}
+
+// mapSlots carves the slot buffers out of one anonymous mapping. A GRO slot
+// must hold a whole coalesced train, yet most trains fill a few of its
+// pages: allocated from the Go heap, batch × 64 KiB of mostly untouched
+// buffers would count as live data and raise the collector's heap goal by
+// twice that, while a mapping costs only the pages the kernel writes. The
+// buffers never leave the batcher — Release returns them to their slots,
+// never to the pool — and the mapping is released once the batcher is
+// garbage, so a batch must not be used after its batcher is dropped. If the
+// mapping fails the slots stay on pool buffers.
+func (rb *RxBatcher) mapSlots() {
+	slab, err := syscall.Mmap(-1, 0, len(rb.bufs)*GROBufSize,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return
+	}
+	for i := range rb.bufs {
+		rb.bufs[i] = slab[i*GROBufSize : (i+1)*GROBufSize : (i+1)*GROBufSize]
+	}
+	rb.mapped = true
+	runtime.AddCleanup(rb, func(b []byte) { syscall.Munmap(b) }, slab)
 }
 
 // GROEnabled reports whether receive coalescing is active.
@@ -198,7 +225,8 @@ func (rb *RxBatcher) recvmmsg(fd uintptr) bool {
 }
 
 // Release hands the batch's buffers back to the batcher's empty slots; any
-// beyond them (only when Recv ran again without a Release) go to the pool.
+// beyond them (only when Recv ran again without a Release) go to the pool,
+// or are dropped when the slots are mapped.
 // The msgs argument is kept for API symmetry with the portable path: this
 // batcher tracks the raw buffers it lent (a GRO split hands out several
 // views of one buffer, which must be returned exactly once).
@@ -215,7 +243,9 @@ func (rb *RxBatcher) Release(msgs []Msg) {
 		}
 	}
 	for ; j < len(rb.lent); j++ {
-		rb.pool.Put(rb.lent[j])
+		if !rb.mapped {
+			rb.pool.Put(rb.lent[j])
+		}
 		rb.lent[j] = nil
 	}
 	rb.lent = rb.lent[:0]

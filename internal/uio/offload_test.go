@@ -49,7 +49,8 @@ func recvAll(t *testing.T, rb *RxBatcher, sock *net.UDPConn, want int, deadline 
 
 // TestOffloadRoundTrip sends a same-peer run of equal-size datagrams (the
 // GSO-coalescible shape) plus a short tail and mixed sizes, and checks the
-// receiver sees every original wire segment intact and in order.
+// receiver sees every original wire segment intact and in order — in GRO
+// slots mapped by EnableGRO, without drawing on the pool.
 func TestOffloadRoundTrip(t *testing.T) {
 	tx, rx := loopbackPair(t)
 	tb, err := NewTxBatcher(tx, 64)
@@ -126,6 +127,9 @@ func TestOffloadRoundTrip(t *testing.T) {
 		}
 	}
 	_ = wantPayloads
+	if hits, misses := pool.Stats(); off.GRO && hits+misses != 0 {
+		t.Errorf("GRO slots drew %d buffers from the pool, want 0 (mapped outside the heap)", hits+misses)
+	}
 }
 
 // TestOffloadConnected covers the dialed-socket shape: nil-Addr TX msgs to
