@@ -36,8 +36,8 @@ bench-compile: ## bench/ is its own module, outside ./...: vet and test it so an
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine (incl. TestRouteDataAckAllocs and TestRunCoalescesAcks: one ACK per receive run) and the data-path allocation pins
-	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer|TestDialedHandleBatchAllocs' ./internal/udpwire/
+race-smoke: ## quick -race pass: loopback wire tests against the serve engine incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine (incl. TestRouteDataAckAllocs and TestRunCoalescesAcks: one ACK per receive run) and the data-path allocation pins
+	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestAcceptMultipleClients|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer|TestDialedHandleBatchAllocs' ./internal/udpwire/
 	$(GO) test -race -run 'Allocs' ./internal/uio/ ./internal/trace/
 	$(GO) test -race ./internal/packet/
 	$(GO) test -race ./internal/wheel/
@@ -67,7 +67,7 @@ bench-alloc: ## zero-allocation fast-path A/B (allocs/op + msgs/sec vs baseline)
 bench-obs: ## histogram-recording overhead A/B (ns/op + allocs/op, hists on vs off) -> BENCH_obs.json
 	BENCH_OBS_JSON=$(CURDIR)/BENCH_obs.json $(GO) test -run TestObsBenchJSON -count=1 -v .
 
-bench-server: ## many-connection serve-vs-listener throughput A/B -> BENCH_server.json
+bench-server: ## many-connection serve engine throughput matrix (shards x GOMAXPROCS x conns, plus a no-offload twin) -> BENCH_server.json
 	BENCH_SERVER_JSON=$(CURDIR)/BENCH_server.json $(GO) test -run TestServerEngineBenchJSON -v ./internal/serve/
 
 bench-fec: ## delivery-latency A/B at 5/10/20% seeded loss, FEC on vs off -> BENCH_fec.json

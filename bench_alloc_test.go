@@ -261,7 +261,7 @@ func allocThroughput(t *testing.T, conns, msgBytes int, warmup, window time.Dura
 
 	cfg := core.DefaultConfig()
 	srv, err := serve.Listen("127.0.0.1:0", cfg, serve.Options{
-		Shards: 1, Backlog: conns + 4, Batch: 64, DrainTimeout: time.Second,
+		Shards: 1, Backlog: conns + 4, DrainTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatalf("serve.Listen: %v", err)

@@ -1,10 +1,10 @@
 // Command iqload measures IQ-RUDP throughput and delivery behaviour between
 // two real hosts — an iperf-style load tool for the protocol.
 //
-// Sink (prints delivered rate once per second; -engine picks the acceptor):
+// Sink (runs the serve engine; prints delivered rate once per second):
 //
-//	iqload -listen 0.0.0.0:9901 -tolerance 0.3                # serve engine
-//	iqload -listen 0.0.0.0:9901 -engine listener              # legacy acceptor
+//	iqload -listen 0.0.0.0:9901 -tolerance 0.3
+//	iqload -listen 0.0.0.0:9901 -shards 4                     # 4 demux shards
 //
 // Source (fills the window for a duration, or paces at a fixed rate):
 //
@@ -61,7 +61,6 @@ func main() {
 	var (
 		listen      = flag.String("listen", "", "sink mode: address to listen on")
 		tolerance   = flag.Float64("tolerance", 0, "sink mode: loss tolerance for unmarked messages")
-		engine      = flag.String("engine", "serve", "sink mode: acceptor engine (serve|listener)")
 		shards      = flag.Int("shards", 0, "sink mode: serve engine shards (0 = auto)")
 		to          = flag.String("to", "", "source mode: sink address")
 		duration    = flag.Duration("duration", 10*time.Second, "source mode: how long to send")
@@ -102,7 +101,7 @@ func main() {
 	defer cleanup()
 	switch {
 	case *listen != "":
-		if err := runSink(*listen, *tolerance, *engine, *shards, fecGroup, tracer, exporter); err != nil {
+		if err := runSink(*listen, *tolerance, *shards, fecGroup, tracer, exporter); err != nil {
 			log.Fatal(err)
 		}
 	case *to != "" && *attack != "":
@@ -161,40 +160,25 @@ func buildTracer(traceFile, metricsAddr string) (iqrudp.Tracer, *metricsexp.Expo
 	return iqrudp.MultiTracer(sinks...), exporter, cleanup, nil
 }
 
-func runSink(addr string, tolerance float64, engine string, shards int, fecGroup int, tracer iqrudp.Tracer, exporter *metricsexp.Exporter) error {
+func runSink(addr string, tolerance float64, shards int, fecGroup int, tracer iqrudp.Tracer, exporter *metricsexp.Exporter) error {
 	cfg := iqrudp.ServerConfig(tolerance)
 	cfg.Tracer = tracer
 	cfg.FECGroup = fecGroup
-	accept := func() (*iqrudp.Conn, error) { return nil, nil }
-	switch engine {
-	case "serve":
-		srv, err := iqrudp.ListenServer(addr, cfg, iqrudp.ServerOptions{Shards: shards})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		if exporter != nil {
-			for name, fn := range srv.Gauges() {
-				exporter.AddGauge(name, fn)
-			}
-			exporter.AddHistSource(srv.HistSnapshots)
-			exporter.SetIntrospection(func() any { return srv.Introspect() })
-		}
-		fmt.Println("iqload sink (serve engine) on", srv.Addr())
-		accept = func() (*iqrudp.Conn, error) { return srv.Accept(0) }
-	case "listener":
-		ln, err := iqrudp.Listen(addr, cfg)
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		fmt.Println("iqload sink (legacy listener) on", ln.Addr())
-		accept = func() (*iqrudp.Conn, error) { return ln.Accept(0) }
-	default:
-		return fmt.Errorf("unknown -engine %q (want serve or listener)", engine)
+	srv, err := iqrudp.ListenServer(addr, cfg, iqrudp.ServerOptions{Shards: shards})
+	if err != nil {
+		return err
 	}
+	defer srv.Close()
+	if exporter != nil {
+		for name, fn := range srv.Gauges() {
+			exporter.AddGauge(name, fn)
+		}
+		exporter.AddHistSource(srv.HistSnapshots)
+		exporter.SetIntrospection(func() any { return srv.Introspect() })
+	}
+	fmt.Println("iqload sink (serve engine) on", srv.Addr())
 	for {
-		conn, err := accept()
+		conn, err := srv.Accept(0)
 		if err != nil {
 			return err
 		}

@@ -61,7 +61,7 @@ func main() {
 }
 
 // hub receives one collaborator's updates and replies with a summary.
-func hub(ln *iqrudp.Listener, done chan<- struct{}) {
+func hub(ln *iqrudp.Server, done chan<- struct{}) {
 	defer close(done)
 	conn, err := ln.Accept(10 * time.Second)
 	if err != nil {

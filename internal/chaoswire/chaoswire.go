@@ -24,19 +24,13 @@
 // stream the protocol machines trace into, so one JSONL file interleaves
 // protocol decisions with the faults that provoked them (cmd/iqstat
 // understands both).
-//
-// The package also provides FaultySendTo, a decorator for the sendTo hook
-// acceptors hand to udpwire.NewAccepted, injecting ENOBUFS and short-write
-// socket errors to exercise the NoteTxError path without a sick kernel.
 package chaoswire
 
 import (
-	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/packet"
@@ -425,45 +419,4 @@ func (p *Proxy) traceFault(reason string, b []byte) {
 		ev.ConnID = id
 	}
 	p.cfg.Tracer.Trace(ev)
-}
-
-// FaultySendTo decorates an acceptor's sendTo hook (udpwire.NewAccepted)
-// with injected socket errors: with probability prob per call the inner
-// writer is bypassed and the call fails with ENOBUFS or io.ErrShortWrite
-// (alternating by a second seeded roll), exercising the driver's
-// NoteTxError accounting the way an overrun kernel transmit queue would.
-// Decisions come from their own PCG stream of seed, independent of any
-// Proxy. The returned function is safe for concurrent use.
-func FaultySendTo(inner func(b []byte, peer *net.UDPAddr) error, seed uint64, prob float64, tr trace.Tracer) func(b []byte, peer *net.UDPAddr) error {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(seed, 0x5e))
-	epoch := time.Now()
-	return func(b []byte, peer *net.UDPAddr) error {
-		mu.Lock()
-		inject := rng.Float64() < prob
-		short := inject && rng.Float64() < 0.5
-		mu.Unlock()
-		if !inject {
-			return inner(b, peer)
-		}
-		reason := trace.ReasonEnobufs
-		err := error(syscall.ENOBUFS)
-		if short {
-			reason = trace.ReasonShortWrite
-			err = io.ErrShortWrite
-		}
-		if tr != nil {
-			ev := trace.Event{
-				Time:   time.Since(epoch),
-				Type:   trace.FaultInjected,
-				Size:   len(b),
-				Reason: reason,
-			}
-			if id, ok := packet.PeekConnID(b); ok {
-				ev.ConnID = id
-			}
-			tr.Trace(ev)
-		}
-		return err
-	}
 }

@@ -1,11 +1,8 @@
 package chaoswire
 
 import (
-	"errors"
-	"io"
 	"math/rand/v2"
 	"net"
-	"syscall"
 	"testing"
 	"time"
 
@@ -135,50 +132,6 @@ func TestProxyRelaysOverSockets(t *testing.T) {
 	}
 	if got := p.Stats().Rebinds; got != 1 {
 		t.Fatalf("Rebinds = %d, want 1", got)
-	}
-}
-
-// TestFaultySendTo: injected socket errors carry the right identities and
-// are seeded-deterministic; prob 0 is a pure pass-through.
-func TestFaultySendTo(t *testing.T) {
-	calls := 0
-	inner := func(b []byte, peer *net.UDPAddr) error { calls++; return nil }
-
-	clean := FaultySendTo(inner, 3, 0, nil)
-	for i := 0; i < 10; i++ {
-		if err := clean([]byte("x"), nil); err != nil {
-			t.Fatalf("prob=0 injected error: %v", err)
-		}
-	}
-	if calls != 10 {
-		t.Fatalf("prob=0 swallowed calls: inner ran %d/10 times", calls)
-	}
-
-	errsOf := func(seed uint64) []error {
-		f := FaultySendTo(inner, seed, 1, nil)
-		var out []error
-		for i := 0; i < 20; i++ {
-			out = append(out, f([]byte("x"), nil))
-		}
-		return out
-	}
-	a, b := errsOf(5), errsOf(5)
-	var enobufs, shorts int
-	for i := range a {
-		if !errors.Is(a[i], b[i]) {
-			t.Fatalf("same seed diverged at call %d: %v vs %v", i, a[i], b[i])
-		}
-		switch {
-		case errors.Is(a[i], syscall.ENOBUFS):
-			enobufs++
-		case errors.Is(a[i], io.ErrShortWrite):
-			shorts++
-		default:
-			t.Fatalf("call %d: unexpected error %v", i, a[i])
-		}
-	}
-	if enobufs == 0 || shorts == 0 {
-		t.Fatalf("expected a mix of ENOBUFS and short writes, got %d/%d", enobufs, shorts)
 	}
 }
 

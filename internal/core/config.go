@@ -48,10 +48,6 @@ type Config struct {
 	// computed and callbacks/metrics are refreshed.
 	MeasurementPeriod time.Duration
 
-	// LossRatioAlpha is the EWMA weight for smoothing the per-period error
-	// ratio.
-	LossRatioAlpha float64
-
 	// LossTolerance is this endpoint's tolerance, as a receiver, for lost
 	// unmarked traffic: the fraction of all application messages it can
 	// tolerate not receiving. Advertised to the peer during the handshake.
@@ -177,7 +173,6 @@ func DefaultConfig() Config {
 		MaxCwnd:           1024,
 		RecvWindow:        512,
 		MeasurementPeriod: 500 * time.Millisecond,
-		LossRatioAlpha:    0.5,
 		LossTolerance:     0,
 		Coordinate:        true,
 		RTOMin:            200 * time.Millisecond,
@@ -201,9 +196,6 @@ func (c *Config) sanitize() {
 	}
 	if c.MeasurementPeriod <= 0 {
 		c.MeasurementPeriod = 500 * time.Millisecond
-	}
-	if c.LossRatioAlpha <= 0 || c.LossRatioAlpha > 1 {
-		c.LossRatioAlpha = 0.5
 	}
 	if c.RTOMin <= 0 {
 		c.RTOMin = 200 * time.Millisecond

@@ -423,12 +423,18 @@ func (m *Machine) Close() {
 	m.maybeFinish()
 }
 
-// maybeFinish sends FIN when the send pipeline is empty.
+// maybeFinish sends FIN when the send pipeline is empty and the peer has
+// cumulatively acknowledged everything sent, i.e. the flight is empty.
+// inFlightCount would not do: it leaves out sacked and skipped packets, and
+// the FIN carries no forward point, so a FIN sent while sndUna < fwdSeq
+// would close a receiver that still parks sacked data behind the skipped
+// hole. The forward-point probe (armRtx) repeats until the cumulative ACK
+// passes the hole, which empties the flight and lets the FIN go.
 func (m *Machine) maybeFinish() {
 	if !m.closing || m.state != stEstablished {
 		return
 	}
-	if m.pendingLen() > 0 || m.inFlightCount() > 0 {
+	if m.pendingLen() > 0 || len(m.flight) > 0 {
 		return
 	}
 	// Flush the open partial repair group before the FIN so the flow's tail

@@ -26,8 +26,12 @@ type measurement struct {
 	tickFn        func() // cached onTick method value (no per-arm closure)
 }
 
+// lossRatioAlpha is the EWMA weight for smoothing the per-period error
+// ratio.
+const lossRatioAlpha = 0.5
+
 func newMeasurement(m *Machine) *measurement {
-	me := &measurement{m: m, smoothedRatio: stats.NewEWMA(m.cfg.LossRatioAlpha)}
+	me := &measurement{m: m, smoothedRatio: stats.NewEWMA(lossRatioAlpha)}
 	me.tickFn = me.onTick
 	return me
 }

@@ -16,26 +16,15 @@ import (
 	"github.com/cercs/iqrudp/internal/uio"
 )
 
-// The many-connection throughput benchmark behind `make bench-server`. Two
-// parts, both gated on BENCH_SERVER_JSON so ordinary test runs skip them:
-//
-//   - a serve-vs-legacy-listener A/B at one fixed point (the historical
-//     baseline comparison), and
-//   - a shards × GOMAXPROCS × conns matrix over the serve engine alone,
-//     each cell recording sustained delivered msgs/sec, latency
-//     percentiles, wire bytes per connection and timing-wheel arms/sec,
-//     plus one cell with segmentation offload forced off so the GSO/GRO
-//     delta is visible in the same document.
+// The many-connection throughput benchmark behind `make bench-server`,
+// gated on BENCH_SERVER_JSON so ordinary test runs skip it: a shards ×
+// GOMAXPROCS × conns matrix over the serve engine, each cell recording
+// sustained delivered msgs/sec, latency percentiles, wire bytes per
+// connection and timing-wheel arms/sec, plus one cell with segmentation
+// offload forced off so the GSO/GRO delta is visible in the same document.
 //
 // The same loopback workload drives every cell: N concurrent dialers
 // sending marked, timestamped messages under backpressure.
-
-type benchSide struct {
-	MsgsPerSec float64 `json:"msgs_per_sec"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	Delivered  uint64  `json:"delivered_msgs"`
-}
 
 // benchCell is one matrix point: the workload shape plus what it measured.
 type benchCell struct {
@@ -55,21 +44,9 @@ type benchReport struct {
 	WindowSec   float64     `json:"window_sec"`
 	HostCPUs    int         `json:"host_cpus"`
 	Offload     uio.Offload `json:"offload"` // kernel capability probe
-	Baseline    benchAB     `json:"baseline"`
 	Matrix      []benchCell `json:"matrix"`
 	GeneratedAt string      `json:"generated_at"`
 	Note        string      `json:"note,omitempty"`
-}
-
-// benchAB is the serve-vs-listener comparison at one fixed point.
-type benchAB struct {
-	Conns       int       `json:"conns"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	ServeShards int       `json:"serve_shards"`
-	Serve       benchSide `json:"serve"`
-	Listener    benchSide `json:"listener"`
-	Speedup     float64   `json:"speedup"`
-	P99Ratio    float64   `json:"p99_latency_ratio"`
 }
 
 func TestServerEngineBenchJSON(t *testing.T) {
@@ -83,30 +60,12 @@ func TestServerEngineBenchJSON(t *testing.T) {
 		warmup   = 500 * time.Millisecond
 		window   = 2 * time.Second
 	)
-	serveSide, _ := benchEngine(t, "serve", conns, msgBytes, warmup, window, Options{
-		Shards: benchShards(), Backlog: conns + 16, Batch: 64, DrainTimeout: time.Second,
-	})
-	listenSide, _ := benchEngine(t, "listener", conns, msgBytes, warmup, window, Options{})
-
 	rep := benchReport{
-		MsgBytes:  msgBytes,
-		WindowSec: window.Seconds(),
-		HostCPUs:  runtime.NumCPU(),
-		Offload:   uio.ProbeOffload(),
-		Baseline: benchAB{
-			Conns:       conns,
-			GOMAXPROCS:  maxprocs(),
-			ServeShards: benchShards(),
-			Serve:       serveSide,
-			Listener:    listenSide,
-		},
+		MsgBytes:    msgBytes,
+		WindowSec:   window.Seconds(),
+		HostCPUs:    runtime.NumCPU(),
+		Offload:     uio.ProbeOffload(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	if listenSide.MsgsPerSec > 0 {
-		rep.Baseline.Speedup = serveSide.MsgsPerSec / listenSide.MsgsPerSec
-	}
-	if serveSide.P99Ms > 0 {
-		rep.Baseline.P99Ratio = listenSide.P99Ms / serveSide.P99Ms
 	}
 
 	// The matrix: scale shards with GOMAXPROCS, hold the workload fixed
@@ -125,25 +84,18 @@ func TestServerEngineBenchJSON(t *testing.T) {
 		{procs: 2, shards: 2, conns: conns},
 		{procs: 4, shards: 4, conns: conns},
 	}
-	off := uio.ProbeOffload()
+	off := rep.Offload
 	for _, pt := range points {
 		prev := runtime.GOMAXPROCS(pt.procs)
-		side, extra := benchEngine(t, "serve", pt.conns, msgBytes, warmup, window, Options{
-			Shards: pt.shards, Backlog: pt.conns + 16, Batch: 64,
+		cell := benchEngine(t, pt.conns, msgBytes, warmup, window, Options{
+			Shards: pt.shards, Backlog: pt.conns + 16,
 			DrainTimeout: time.Second, NoOffload: pt.noOffload,
 		})
 		runtime.GOMAXPROCS(prev)
-		cell := benchCell{
-			GOMAXPROCS:      pt.procs,
-			Shards:          pt.shards,
-			Conns:           pt.conns,
-			Offload:         !pt.noOffload && (off.GSO || off.GRO),
-			MsgsPerSec:      side.MsgsPerSec,
-			P50Ms:           side.P50Ms,
-			P99Ms:           side.P99Ms,
-			BytesPerConn:    extra.bytesPerConn,
-			TimerArmsPerSec: extra.timerArmsPerSec,
-		}
+		cell.GOMAXPROCS = pt.procs
+		cell.Shards = pt.shards
+		cell.Conns = pt.conns
+		cell.Offload = !pt.noOffload && (off.GSO || off.GRO)
 		rep.Matrix = append(rep.Matrix, cell)
 		t.Logf("cell p%d s%d c%d offload=%v: %.0f msgs/s p99 %.2fms %.0f B/conn %.0f arms/s",
 			pt.procs, pt.shards, pt.conns, cell.Offload,
@@ -154,9 +106,7 @@ func TestServerEngineBenchJSON(t *testing.T) {
 		rep.Note = "single-CPU host: the in-process load generator shares the core " +
 			"with the engine, so delivered msgs/sec is CPU-bound in every cell and " +
 			"GOMAXPROCS>1 rows measure scheduling, not parallel speedup; the " +
-			"offload=false twin isolates the GSO/GRO syscall-batching delta, and " +
-			"the baseline p99_latency_ratio shows the sharding queueing gap that " +
-			"appears even here"
+			"offload=false twin isolates the GSO/GRO syscall-batching delta"
 	}
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -165,51 +115,19 @@ func TestServerEngineBenchJSON(t *testing.T) {
 	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("serve %.0f msgs/s (p99 %.2fms) vs listener %.0f msgs/s (p99 %.2fms): %.1fx -> %s",
-		serveSide.MsgsPerSec, serveSide.P99Ms,
-		listenSide.MsgsPerSec, listenSide.P99Ms, rep.Baseline.Speedup, path)
+	t.Logf("-> %s", path)
 }
 
-// benchExtras carries the serve-engine counters a cell reports beyond
-// throughput (zero for the listener leg).
-type benchExtras struct {
-	bytesPerConn    float64
-	timerArmsPerSec float64
-}
-
-// benchEngine measures one acceptor's sustained delivered msgs/sec.
-func benchEngine(t *testing.T, engine string, conns, msgBytes int, warmup, window time.Duration, opt Options) (benchSide, benchExtras) {
+// benchEngine measures the engine's sustained delivered msgs/sec, latency
+// percentiles, wire bytes per connection and timer arms/sec.
+func benchEngine(t *testing.T, conns, msgBytes int, warmup, window time.Duration, opt Options) benchCell {
 	t.Helper()
-	cfg := testConfig()
-
-	var (
-		acceptFn func() (*udpwire.Conn, error)
-		addr     string
-		closeFn  func()
-		srv      *Server
-	)
-	switch engine {
-	case "serve":
-		var err error
-		srv, err = Listen("127.0.0.1:0", cfg, opt)
-		if err != nil {
-			t.Fatalf("serve.Listen: %v", err)
-		}
-		acceptFn = func() (*udpwire.Conn, error) { return srv.Accept(0) }
-		addr = srv.Addr().String()
-		closeFn = func() { srv.Close() }
-	case "listener":
-		ln, err := udpwire.Listen("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatalf("udpwire.Listen: %v", err)
-		}
-		acceptFn = func() (*udpwire.Conn, error) { return ln.Accept(0) }
-		addr = ln.Addr().String()
-		closeFn = func() { ln.Close() }
-	default:
-		t.Fatalf("unknown engine %q", engine)
+	srv, err := Listen("127.0.0.1:0", testConfig(), opt)
+	if err != nil {
+		t.Fatalf("serve.Listen: %v", err)
 	}
-	defer closeFn()
+	defer srv.Close()
+	addr := srv.Addr().String()
 
 	var (
 		delivered atomic.Uint64
@@ -221,7 +139,7 @@ func benchEngine(t *testing.T, engine string, conns, msgBytes int, warmup, windo
 	)
 	go func() {
 		for {
-			c, err := acceptFn()
+			c, err := srv.Accept(0)
 			if err != nil {
 				return
 			}
@@ -256,8 +174,8 @@ func benchEngine(t *testing.T, engine string, conns, msgBytes int, warmup, windo
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Stagger the handshake burst: the legacy listener's accept
-			// queue is small, and connection setup is not what we measure.
+			// Stagger the handshake burst: connection setup is not what we
+			// measure.
 			time.Sleep(time.Duration(i) * 2 * time.Millisecond)
 			var c *udpwire.Conn
 			for attempt := 0; attempt < 5; attempt++ {
@@ -303,19 +221,13 @@ func benchEngine(t *testing.T, engine string, conns, msgBytes int, warmup, windo
 	}
 
 	time.Sleep(warmup)
-	var statsBefore Stats
-	if srv != nil {
-		statsBefore = srv.Stats()
-	}
+	statsBefore := srv.Stats()
 	measuring.Store(true)
 	before := delivered.Load()
 	time.Sleep(window)
 	count := delivered.Load() - before
 	measuring.Store(false)
-	var statsAfter Stats
-	if srv != nil {
-		statsAfter = srv.Stats()
-	}
+	statsAfter := srv.Stats()
 	close(stop)
 	wg.Wait()
 	acceptMu.Lock()
@@ -325,49 +237,36 @@ func benchEngine(t *testing.T, engine string, conns, msgBytes int, warmup, windo
 	acceptMu.Unlock()
 
 	if n := dialFailures.Load(); n > 0 {
-		t.Logf("%s: %d/%d dials failed", engine, n, conns)
+		t.Logf("%d/%d dials failed", n, conns)
 	}
-	side := benchSide{
-		MsgsPerSec: float64(count) / window.Seconds(),
-		Delivered:  count,
-	}
+	cell := benchCell{MsgsPerSec: float64(count) / window.Seconds()}
 	latMu.Lock()
 	if lat.N() > 0 {
-		side.P50Ms = lat.Quantile(0.5)
-		side.P99Ms = lat.Quantile(0.99)
+		cell.P50Ms = lat.Quantile(0.5)
+		cell.P99Ms = lat.Quantile(0.99)
 	}
 	latMu.Unlock()
 
-	var extra benchExtras
-	if srv != nil {
-		var bytes, arms uint64
-		for i, ss := range statsAfter.Shards {
-			bytes += ss.RxBytes + ss.TxBytes
-			arms += ss.TimerArms
-			if i < len(statsBefore.Shards) {
-				prev := statsBefore.Shards[i]
-				bytes -= prev.RxBytes + prev.TxBytes
-				arms -= prev.TimerArms
-			}
+	var bytes, arms uint64
+	for i, ss := range statsAfter.Shards {
+		bytes += ss.RxBytes + ss.TxBytes
+		arms += ss.TimerArms
+		if i < len(statsBefore.Shards) {
+			prev := statsBefore.Shards[i]
+			bytes -= prev.RxBytes + prev.TxBytes
+			arms -= prev.TimerArms
 		}
-		live := conns - int(dialFailures.Load())
-		if live > 0 {
-			extra.bytesPerConn = float64(bytes) / float64(live)
-		}
-		extra.timerArmsPerSec = float64(arms) / window.Seconds()
 	}
-	return side, extra
+	if live := conns - int(dialFailures.Load()); live > 0 {
+		cell.BytesPerConn = float64(bytes) / float64(live)
+	}
+	cell.TimerArmsPerSec = float64(arms) / window.Seconds()
+	return cell
 }
-
-func maxprocs() int { return runtime.GOMAXPROCS(0) }
 
 // benchBackpressure is the client-side queue bound (BENCH_BACKPRESSURE
 // overrides; default 512 packets).
 func benchBackpressure() int { return benchEnvInt("BENCH_BACKPRESSURE", 512) }
-
-// benchShards is the serve leg's shard count (BENCH_SHARDS overrides;
-// default 2× cores so the sharding cost model shows up even on small hosts).
-func benchShards() int { return benchEnvInt("BENCH_SHARDS", 2*runtime.GOMAXPROCS(0)) }
 
 func benchEnvInt(key string, def int) int {
 	if v := os.Getenv(key); v != "" {

@@ -113,7 +113,7 @@ func (srv *Server) cookieMode(synRate int64) bool {
 	if srv.opt.AlwaysValidate {
 		return true
 	}
-	if srv.opt.SynRate > 0 && synRate > int64(srv.opt.SynRate) {
+	if synRate > synRateLimit {
 		return true
 	}
 	if len(srv.accept) > srv.opt.Backlog/2 {

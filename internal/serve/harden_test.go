@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cercs/iqrudp/internal/guard"
 	"github.com/cercs/iqrudp/internal/packet"
 	"github.com/cercs/iqrudp/internal/udpwire"
 )
@@ -165,9 +166,10 @@ func TestAmpGate(t *testing.T) {
 // TestRstRateCap: RST refusals are token-bucket capped per shard; refusals
 // beyond the budget are suppressed but still counted.
 func TestRstRateCap(t *testing.T) {
-	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second, RSTRate: 5})
+	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second})
 
 	sh := srv.shards[0]
+	sh.rstBucket = guard.NewTokenBucket(5, 5)
 	raddr := netip.MustParseAddrPort("127.0.0.1:9999")
 	p := &packet.Packet{Type: packet.SYN, ConnID: 41, Seq: 1}
 	const refusals = 40

@@ -32,17 +32,14 @@ func (srv *Server) noteClosed(c *udpwire.Conn) {
 	}
 	if rec != nil {
 		srv.flightTotal++
-		max := srv.opt.FlightRecords
-		if max > 0 {
-			srv.flights = append(srv.flights, rec)
-			if len(srv.flights) > max {
-				// Drop oldest; shift in place, the slice stays small.
-				n := copy(srv.flights, srv.flights[len(srv.flights)-max:])
-				for i := n; i < len(srv.flights); i++ {
-					srv.flights[i] = nil
-				}
-				srv.flights = srv.flights[:n]
+		srv.flights = append(srv.flights, rec)
+		if max := srv.flightCap; len(srv.flights) > max {
+			// Drop oldest; shift in place, the slice stays small.
+			n := copy(srv.flights, srv.flights[len(srv.flights)-max:])
+			for i := n; i < len(srv.flights); i++ {
+				srv.flights[i] = nil
 			}
+			srv.flights = srv.flights[:n]
 		}
 	}
 }

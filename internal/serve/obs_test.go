@@ -115,7 +115,7 @@ func TestServeObservability(t *testing.T) {
 func TestObservabilityDisabled(t *testing.T) {
 	srv := startServer(t, Options{
 		Shards: 1, DrainTimeout: 2 * time.Second,
-		FlightEvents: -1, FlightRecords: -1,
+		FlightEvents: -1,
 	})
 	cc, err := udpwire.Dial(srv.Addr().String(), testConfig(), 5*time.Second)
 	if err != nil {
@@ -142,12 +142,13 @@ func TestObservabilityDisabled(t *testing.T) {
 	}
 }
 
-// TestFlightRecordLRU bounds retention: with FlightRecords=2, killing
+// TestFlightRecordLRU bounds retention: with the cap lowered to 2, killing
 // three connections keeps the two newest records but counts all three.
 func TestFlightRecordLRU(t *testing.T) {
-	srv := startServer(t, Options{
-		Shards: 1, DrainTimeout: 2 * time.Second, FlightRecords: 2,
-	})
+	srv := startServer(t, Options{Shards: 1, DrainTimeout: 2 * time.Second})
+	srv.obsMu.Lock()
+	srv.flightCap = 2
+	srv.obsMu.Unlock()
 	var ids []uint32
 	for i := 0; i < 3; i++ {
 		cc, err := udpwire.Dial(srv.Addr().String(), testConfig(), 5*time.Second)

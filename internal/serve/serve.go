@@ -1,9 +1,8 @@
-// Package serve is the scalable multi-connection server engine for IQ-RUDP
-// — the production acceptor behind iqrudp.Server. Where udpwire.Listener is
-// a single goroutine with one read buffer and an address-keyed map, serve
-// runs N shards, each owning a slice of the connection table keyed by the
-// wire ConnID, each (on Linux) reading and writing its own SO_REUSEPORT-
-// bound socket with batched recvmmsg/sendmmsg syscalls and pooled receive
+// Package serve is the multi-connection server engine for IQ-RUDP — the
+// one acceptor, behind iqrudp.Listen and iqrudp.ListenServer. It runs N
+// shards, each owning a slice of the connection table keyed by the wire
+// ConnID, each (on Linux) reading and writing its own SO_REUSEPORT-bound
+// socket with batched recvmmsg/sendmmsg syscalls and pooled receive
 // buffers. The design borrows QUIC's connection-ID demultiplexing: a
 // connection is identified by the ConnID every packet carries, not by its
 // source address, so a client whose NAT rebinds (new source port) keeps its
@@ -78,25 +77,11 @@ type Options struct {
 	// exchange. Default 5s.
 	DrainTimeout time.Duration
 
-	// Batch is the number of datagrams moved per recvmmsg/sendmmsg call on
-	// the Linux fast path (also the transmit coalescing bound on the
-	// portable path). Default 32, clamped to [1, 256].
-	Batch int
-
-	// SockBuf is the per-socket read and write buffer request in bytes
-	// (subject to the kernel's rmem_max/wmem_max). Default 4 MiB.
-	SockBuf int
-
 	// FlightEvents sizes each accepted connection's always-on flight-
 	// recorder ring (trace events kept for the postmortem black box) and
 	// enables its per-connection histogram set. Default 64; -1 disables the
 	// recorder, histograms and the per-shard distribution histograms.
 	FlightEvents int
-
-	// FlightRecords bounds how many abnormal-close flight records the
-	// engine retains (oldest evicted first). Default 32; -1 retains none
-	// (the total is still counted).
-	FlightRecords int
 
 	// NoOffload disables UDP GSO/GRO segmentation offload on the engine's
 	// sockets even when the kernel supports it — the A/B knob for the
@@ -106,24 +91,9 @@ type Options struct {
 	// AlwaysValidate requires every handshake to present a valid address-
 	// validation cookie: each first SYN is answered statelessly with RETRY
 	// and connection state is only allocated when the echoed cookie
-	// verifies. Off by default — validation then engages under load (see
-	// SynRate, Backlog pressure, and the governor's brownout).
+	// verifies. Off by default — validation then engages under load (a SYN
+	// rate above 1024/s, Backlog pressure, or the governor's brownout).
 	AlwaysValidate bool
-
-	// SynRate is the engine-wide SYNs-per-second threshold above which
-	// stateless cookie validation engages. Default 1024; negative disables
-	// the rate trigger.
-	SynRate int
-
-	// SynPrefixRate caps un-cookied SYNs per source /24 (IPv4) or /48
-	// (IPv6) per second; prefixes beyond it are challenged with RETRY
-	// instead of admitted, so one flooding subnet cannot monopolise
-	// handshake capacity. Default 4096; negative disables.
-	SynPrefixRate int
-
-	// CookieLifetime bounds address-validation cookie validity and sets the
-	// signing-secret rotation period. Default 15s.
-	CookieLifetime time.Duration
 
 	// MemLimit is the resource governor's byte budget across the engine's
 	// elastic memory consumers (per-connection overhead, send backlogs,
@@ -132,12 +102,42 @@ type Options struct {
 	// on new connections, refuse new connections. Default 256 MiB; negative
 	// disables the governor.
 	MemLimit int64
-
-	// RSTRate caps refusal RSTs per shard per second so the refusal path
-	// cannot be used as a reflection amplifier; refusals beyond it are
-	// counted but unanswered. Default 100; negative disables the cap.
-	RSTRate int
 }
+
+// Engine constants.
+const (
+	// ioBatch is the number of datagrams moved per recvmmsg/sendmmsg call
+	// on the Linux fast path (also the transmit coalescing bound on the
+	// portable path).
+	ioBatch = 32
+
+	// sockBufBytes is the per-socket read and write buffer request (subject
+	// to the kernel's rmem_max/wmem_max).
+	sockBufBytes = 4 << 20
+
+	// flightRecordCap bounds how many abnormal-close flight records the
+	// engine retains (oldest evicted first).
+	flightRecordCap = 32
+
+	// synRateLimit is the engine-wide SYNs-per-second threshold above which
+	// stateless cookie validation engages.
+	synRateLimit = 1024
+
+	// synPrefixRate caps un-cookied SYNs per source /24 (IPv4) or /48
+	// (IPv6) per second; prefixes beyond it are challenged with RETRY
+	// instead of admitted, so one flooding subnet cannot monopolise
+	// handshake capacity.
+	synPrefixRate = 4096
+
+	// cookieLifetime bounds address-validation cookie validity and sets the
+	// signing-secret rotation period.
+	cookieLifetime = 15 * time.Second
+
+	// rstRate caps refusal RSTs per shard per second so the refusal path
+	// cannot be used as a reflection amplifier; refusals beyond it are
+	// counted but unanswered.
+	rstRate = 100
+)
 
 func (o *Options) sanitize() {
 	if o.Shards <= 0 {
@@ -152,15 +152,6 @@ func (o *Options) sanitize() {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
 	}
-	if o.Batch <= 0 {
-		o.Batch = 32
-	}
-	if o.Batch > 256 {
-		o.Batch = 256
-	}
-	if o.SockBuf <= 0 {
-		o.SockBuf = 4 << 20
-	}
 	switch {
 	case o.FlightEvents == 0:
 		o.FlightEvents = 64
@@ -168,37 +159,10 @@ func (o *Options) sanitize() {
 		o.FlightEvents = 0
 	}
 	switch {
-	case o.FlightRecords == 0:
-		o.FlightRecords = 32
-	case o.FlightRecords < 0:
-		o.FlightRecords = 0
-	}
-	switch {
-	case o.SynRate == 0:
-		o.SynRate = 1024
-	case o.SynRate < 0:
-		o.SynRate = 0
-	}
-	switch {
-	case o.SynPrefixRate == 0:
-		o.SynPrefixRate = 4096
-	case o.SynPrefixRate < 0:
-		o.SynPrefixRate = 0
-	}
-	if o.CookieLifetime <= 0 {
-		o.CookieLifetime = 15 * time.Second
-	}
-	switch {
 	case o.MemLimit == 0:
 		o.MemLimit = 256 << 20
 	case o.MemLimit < 0:
 		o.MemLimit = 0
-	}
-	switch {
-	case o.RSTRate == 0:
-		o.RSTRate = 100
-	case o.RSTRate < 0:
-		o.RSTRate = 0
 	}
 }
 
@@ -243,6 +207,7 @@ type Server struct {
 	obsMu       sync.Mutex
 	archive     []hist.Snapshot
 	flights     []*core.FlightRecord
+	flightCap   int // records retained: flightRecordCap
 	flightTotal uint64
 }
 
@@ -265,16 +230,16 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 		// outright failure is counted so an engine running on default socket
 		// buffers shows up in Stats/serve.sockbuf.errors instead of only as
 		// mysterious loss under load.
-		if err := sock.SetReadBuffer(opt.SockBuf); err != nil {
+		if err := sock.SetReadBuffer(sockBufBytes); err != nil {
 			srv.sockBufErrs.Add(1)
 		}
-		if err := sock.SetWriteBuffer(opt.SockBuf); err != nil {
+		if err := sock.SetWriteBuffer(sockBufBytes); err != nil {
 			srv.sockBufErrs.Add(1)
 		}
 	}
 	for i := range socks {
 		sh := srv.shards[i]
-		rb, err := uio.NewRxBatcher(socks[i], srv.rxPool, opt.Batch)
+		rb, err := uio.NewRxBatcher(socks[i], srv.rxPool, ioBatch)
 		if err == nil {
 			if offload.GRO {
 				// Best effort: a socket that refuses UDP_GRO just stays on
@@ -282,7 +247,7 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 				rb.EnableGRO()
 			}
 			var tb *uio.TxBatcher
-			tb, err = uio.NewTxBatcher(socks[i], opt.Batch)
+			tb, err = uio.NewTxBatcher(socks[i], ioBatch)
 			if err == nil {
 				if opt.NoOffload {
 					tb.SetGSO(false)
@@ -312,28 +277,27 @@ func newServer(cfg core.Config, opt Options, socks []*net.UDPConn, offload uio.O
 		bufSize = uio.GROBufSize
 	}
 	srv := &Server{
-		cfg:     cfg,
-		opt:     opt,
-		socks:   socks,
-		rxPool:  uio.NewBufPool(bufSize),
-		offload: offload,
-		shards:  make([]*shard, opt.Shards),
-		accept:  make(chan *udpwire.Conn, opt.Backlog),
-		drainCh: make(chan struct{}),
-		closed:  make(chan struct{}),
-		cookies: guard.NewCookieSource(opt.CookieLifetime),
+		cfg:        cfg,
+		opt:        opt,
+		socks:      socks,
+		rxPool:     uio.NewBufPool(bufSize),
+		offload:    offload,
+		shards:     make([]*shard, opt.Shards),
+		accept:     make(chan *udpwire.Conn, opt.Backlog),
+		drainCh:    make(chan struct{}),
+		closed:     make(chan struct{}),
+		cookies:    guard.NewCookieSource(cookieLifetime),
+		flightCap:  flightRecordCap,
+		synLimiter: guard.NewPrefixLimiter(synPrefixRate, 4096),
 	}
 	if opt.MemLimit > 0 {
 		srv.ledger = &guard.Ledger{}
 		srv.gov = guard.NewGovernor(srv.ledger, opt.MemLimit)
 	}
-	if opt.SynPrefixRate > 0 {
-		srv.synLimiter = guard.NewPrefixLimiter(float64(opt.SynPrefixRate), 4096)
-	}
 	// The transmit queue holds the datagrams a few receive batches provoke
 	// across every shard sharing a socket; enqueueTx blocks rather than
 	// drop when it is full.
-	txq := 4 * opt.Batch * len(srv.shards)
+	txq := 4 * ioBatch * len(srv.shards)
 	for i := range srv.shards {
 		sh := &shard{
 			srv:       srv,
@@ -342,10 +306,10 @@ func newServer(cfg core.Config, opt Options, socks []*net.UDPConn, offload uio.O
 			wh:        wheel.New(0),
 			byID:      make(map[uint32]connEntry),
 			byAddr:    make(map[netip.AddrPort]uint32),
-			rstBucket: guard.NewTokenBucket(float64(opt.RSTRate), float64(opt.RSTRate)),
+			rstBucket: guard.NewTokenBucket(rstRate, rstRate),
 			txq:       make(chan uio.Msg, txq),
 			txDone:    make(chan struct{}),
-			txFree:    make([][]byte, 0, txq+opt.Batch),
+			txFree:    make([][]byte, 0, txq+ioBatch),
 		}
 		if opt.FlightEvents > 0 {
 			sh.rxBatchH = hist.NewBatch(hist.MetricRxBatch)

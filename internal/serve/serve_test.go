@@ -159,13 +159,13 @@ func TestServeGauges(t *testing.T) {
 func TestOptionsSanitize(t *testing.T) {
 	var o Options
 	o.sanitize()
-	if o.Shards < 1 || o.Backlog != 128 || o.Batch != 32 ||
-		o.DrainTimeout != 5*time.Second || o.SockBuf != 4<<20 {
+	if o.Shards < 1 || o.Backlog != 128 || o.DrainTimeout != 5*time.Second ||
+		o.FlightEvents != 64 || o.MemLimit != 256<<20 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	o = Options{Shards: 1000, Batch: 10000}
+	o = Options{Shards: 1000, FlightEvents: -1, MemLimit: -1}
 	o.sanitize()
-	if o.Shards != 64 || o.Batch != 256 {
+	if o.Shards != 64 || o.FlightEvents != 0 || o.MemLimit != 0 {
 		t.Fatalf("clamps not applied: %+v", o)
 	}
 }

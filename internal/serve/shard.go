@@ -48,7 +48,7 @@ type shard struct {
 	txq    chan uio.Msg
 	txDone chan struct{}
 	txMu   sync.Mutex
-	txFree [][]byte // at most cap(txq) + Batch idle buffers; guarded by txMu
+	txFree [][]byte // at most cap(txq) + ioBatch idle buffers; guarded by txMu
 
 	rxPackets atomic.Uint64
 	rxBatches atomic.Uint64
@@ -294,7 +294,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, from netip.AddrPort) {
 	// which keeps legitimate clients reachable from a flooded /24.
 	synRate := srv.synMeter.tick(now)
 	needCookie := srv.cookieMode(synRate)
-	if !cookieOK && srv.synLimiter != nil && !srv.synLimiter.Allow(raddr.IP, now) {
+	if !cookieOK && !srv.synLimiter.Allow(raddr.IP, now) {
 		srv.synLimited.Add(1)
 		needCookie = true
 	}
@@ -390,7 +390,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, from netip.AddrPort) {
 		g.credit(p.WireSize())
 		send = sh.gatedSendTo(g, p.ConnID)
 	}
-	c := udpwire.NewAcceptedOn(sh.wh, srv.connConfig(), io.sock.LocalAddr(), raddr,
+	c := udpwire.NewAccepted(sh.wh, srv.connConfig(), io.sock.LocalAddr(), raddr,
 		send, sh.detach)
 	if g != nil {
 		g.conn.Store(c)
@@ -521,7 +521,7 @@ func (sh *shard) recycleTx(msgs []uio.Msg) {
 // (or the server closing) ends the loop.
 func (sh *shard) txLoop(tb *uio.TxBatcher) {
 	defer close(sh.txDone)
-	batch := make([]uio.Msg, 0, sh.srv.opt.Batch)
+	batch := make([]uio.Msg, 0, ioBatch)
 	for {
 		batch = batch[:0]
 		select {

@@ -74,15 +74,13 @@ const (
 // Fault kinds (FaultInjected.Reason): which fault the chaoswire middlebox
 // applied to the datagram. Duplication reuses ReasonDup.
 const (
-	ReasonDrop       = "drop"
-	ReasonReorder    = "reorder"
-	ReasonCorrupt    = "corrupt"
-	ReasonTruncate   = "truncate"
-	ReasonDelay      = "delay"
-	ReasonBlackhole  = "blackhole"
-	ReasonRebind     = "rebind"
-	ReasonEnobufs    = "enobufs"
-	ReasonShortWrite = "short-write"
+	ReasonDrop      = "drop"
+	ReasonReorder   = "reorder"
+	ReasonCorrupt   = "corrupt"
+	ReasonTruncate  = "truncate"
+	ReasonDelay     = "delay"
+	ReasonBlackhole = "blackhole"
+	ReasonRebind    = "rebind"
 )
 
 // Shedding reasons (ShedUnmarked.Reason): where in the send pipeline the
@@ -125,7 +123,7 @@ func Reasons() []string {
 		ReasonReset, ReasonRefused, ReasonHandshakeTimeout, ReasonAborted,
 		ReasonSockErr, ReasonResumed,
 		ReasonDrop, ReasonReorder, ReasonCorrupt, ReasonTruncate, ReasonDelay,
-		ReasonBlackhole, ReasonRebind, ReasonEnobufs, ReasonShortWrite,
+		ReasonBlackhole, ReasonRebind,
 		ReasonShedIngress, ReasonShedQueue,
 		ReasonBadCookie, ReasonEvictDenied,
 		ReasonFecFlush, ReasonFecAdapt,

@@ -83,9 +83,9 @@ const (
 	TxError
 	// FaultInjected records a fault deliberately applied to a datagram by
 	// the chaoswire middlebox (Reason "drop", "reorder", "corrupt",
-	// "truncate", "delay", "blackhole", "rebind", "enobufs", "short-write",
-	// or "dup" for duplication); Size carries the datagram length and ConnID
-	// the connection the datagram belonged to, when parseable.
+	// "truncate", "delay", "blackhole", "rebind", or "dup" for
+	// duplication); Size carries the datagram length and ConnID the
+	// connection the datagram belonged to, when parseable.
 	FaultInjected
 	// ConnResumed records a session resumption: a dialer renegotiated a
 	// fresh connection ID after its predecessor died (dead interval, NAT

@@ -26,7 +26,7 @@ func TestDialedHandleBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newConn(core.DefaultConfig(), sock, peerAddr, nil)
+	c := newConn(core.DefaultConfig(), sock, peerAddr, DefaultWheel())
 	c.ownSocket = true
 	defer c.Abort()
 	if c.txb, err = uio.NewTxBatcher(sock, txRingSize); err != nil {

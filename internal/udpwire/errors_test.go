@@ -1,4 +1,4 @@
-package udpwire
+package udpwire_test
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"github.com/cercs/iqrudp/internal/core"
 	"github.com/cercs/iqrudp/internal/packet"
 	"github.com/cercs/iqrudp/internal/trace"
+	"github.com/cercs/iqrudp/internal/udpwire"
 )
 
 // Typed-error taxonomy tests: every way a connection dies must surface as a
@@ -26,21 +27,21 @@ func TestDialHandshakeTimeoutTyped(t *testing.T) {
 	defer hole.Close()
 
 	start := time.Now()
-	_, err = Dial(hole.LocalAddr().String(), core.DefaultConfig(), 300*time.Millisecond)
+	_, err = udpwire.Dial(hole.LocalAddr().String(), core.DefaultConfig(), 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("dial into a black hole succeeded")
 	}
 	if time.Since(start) > 3*time.Second {
 		t.Fatal("dial timeout not honored")
 	}
-	if !errors.Is(err, ErrHandshakeTimeout) {
+	if !errors.Is(err, udpwire.ErrHandshakeTimeout) {
 		t.Fatalf("errors.Is(err, ErrHandshakeTimeout) false: %v", err)
 	}
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("handshake timeout must be a net.Error with Timeout()=true: %v", err)
 	}
-	var op *OpError
+	var op *udpwire.OpError
 	if !errors.As(err, &op) || op.Op != "dial" {
 		t.Fatalf("want *OpError with Op=dial, got %v", err)
 	}
@@ -73,11 +74,11 @@ func TestDialRefusedTyped(t *testing.T) {
 		}
 	}()
 
-	_, err = Dial(sock.LocalAddr().String(), core.DefaultConfig(), 3*time.Second)
+	_, err = udpwire.Dial(sock.LocalAddr().String(), core.DefaultConfig(), 3*time.Second)
 	if err == nil {
 		t.Fatal("dial against an RST responder succeeded")
 	}
-	if !errors.Is(err, ErrRefused) {
+	if !errors.Is(err, udpwire.ErrRefused) {
 		t.Fatalf("errors.Is(err, ErrRefused) false: %v", err)
 	}
 	var ne net.Error
@@ -106,17 +107,17 @@ func TestDeadPeerTyped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv did not unblock on dead peer")
 	}
-	if !errors.Is(err, ErrPeerDead) {
+	if !errors.Is(err, udpwire.ErrPeerDead) {
 		t.Fatalf("Recv err = %v, want ErrPeerDead", err)
 	}
-	if err != ErrPeerDead {
+	if err != udpwire.ErrPeerDead {
 		t.Fatalf("identity comparison broken: %v", err)
 	}
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("dead peer must be a net.Error with Timeout()=true: %v", err)
 	}
-	if got := cli.Err(); got != ErrPeerDead {
+	if got := cli.Err(); got != udpwire.ErrPeerDead {
 		t.Fatalf("Err() = %v, want ErrPeerDead", got)
 	}
 	if got := cli.CloseReason(); got != trace.ReasonPeerDead {
@@ -131,20 +132,16 @@ func TestErrNilWhileOpen(t *testing.T) {
 	}
 	srv.Close()
 	cli.Close()
-	if err := cli.Err(); !errors.Is(err, ErrClosed) {
+	if err := cli.Err(); !errors.Is(err, udpwire.ErrClosed) {
 		t.Fatalf("after local close Err() = %v, want ErrClosed", err)
 	}
 }
 
 // TestResumeCarriesMarkedBacklog: a dialed connection that dies with marked
-// data queued resumes and re-sends it; the listener-side successor delivers
+// data queued resumes and re-sends it; the accepted successor delivers
 // every payload.
 func TestResumeCarriesMarkedBacklog(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0", core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln := listen(t, core.DefaultConfig())
 	delivered := make(chan string, 256)
 	go func() {
 		for {
@@ -152,7 +149,7 @@ func TestResumeCarriesMarkedBacklog(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go func(c *Conn) {
+			go func(c *udpwire.Conn) {
 				for {
 					msg, err := c.Recv(0)
 					if err != nil {
@@ -166,7 +163,7 @@ func TestResumeCarriesMarkedBacklog(t *testing.T) {
 		}
 	}()
 
-	cli, err := Dial(ln.Addr().String(), core.DefaultConfig(), 5*time.Second)
+	cli, err := udpwire.Dial(ln.Addr().String(), core.DefaultConfig(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestCarryoverPayloadsIntact(t *testing.T) {
 			}
 		}
 	}()
-	cli, err := Dial(sock.LocalAddr().String(), core.DefaultConfig(), 5*time.Second)
+	cli, err := udpwire.Dial(sock.LocalAddr().String(), core.DefaultConfig(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +248,7 @@ func TestCarryoverPayloadsIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Abort()
-	cli.mu.Lock()
-	carry := cli.m.CarryoverMarked()
-	cli.mu.Unlock()
+	carry := udpwire.CarryoverMarked(cli)
 	if len(carry) != 2 {
 		t.Fatalf("carried %d messages, want 2", len(carry))
 	}

@@ -1,4 +1,4 @@
-package udpwire
+package udpwire_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 
 	"github.com/cercs/iqrudp/internal/core"
 	"github.com/cercs/iqrudp/internal/trace"
+	"github.com/cercs/iqrudp/internal/udpwire"
 )
 
 // The driver invokes the Tracer from the reader goroutine and from timer
@@ -41,7 +42,7 @@ func TestTracedLoopbackAllSinks(t *testing.T) {
 			srv.Send(make([]byte, 600), true)
 		}
 	}()
-	recv := func(c *Conn) {
+	recv := func(c *udpwire.Conn) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			if _, err := c.Recv(5 * time.Second); err != nil {

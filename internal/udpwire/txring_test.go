@@ -3,34 +3,11 @@ package udpwire
 import (
 	"net"
 	"testing"
-	"time"
 
 	"github.com/cercs/iqrudp/internal/core"
 	"github.com/cercs/iqrudp/internal/trace"
 	"github.com/cercs/iqrudp/internal/uio"
 )
-
-// TestDialedTxRingFlushes verifies a dialed connection actually transmits
-// through the batched TX ring: after a round trip the flush counter moved.
-func TestDialedTxRingFlushes(t *testing.T) {
-	ln, cli, srv := pair(t, core.DefaultConfig(), core.DefaultConfig())
-	defer ln.Close()
-	defer srv.Close()
-	defer cli.Close()
-
-	if err := cli.Send([]byte("ping"), true); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if _, err := srv.Recv(2 * time.Second); err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if got := cli.TxFlushes(); got == 0 {
-		t.Fatal("dialed connection did not flush through the TX ring")
-	}
-	if got := srv.TxFlushes(); got != 0 {
-		t.Fatalf("accepted connection should not use the TX ring, flushed %d", got)
-	}
-}
 
 // TestTxErrorCounted breaks the socket under a dialed connection and checks
 // the transmit failure surfaces in Metrics.TxErrors and as a tx_error trace
@@ -50,7 +27,7 @@ func TestTxErrorCounted(t *testing.T) {
 	counters := trace.NewCounters()
 	cfg := core.DefaultConfig()
 	cfg.Tracer = counters
-	c := newConn(cfg, sock, peer.LocalAddr().(*net.UDPAddr), nil)
+	c := newConn(cfg, sock, peer.LocalAddr().(*net.UDPAddr), DefaultWheel())
 	c.ownSocket = true
 	tb, err := uio.NewTxBatcher(sock, txRingSize)
 	if err != nil {

@@ -1,8 +1,11 @@
 // Package udpwire drives the sans-I/O IQ-RUDP machine over real UDP sockets
-// with goroutines: a reader loop feeding decoded packets into the machine, a
-// hierarchical-timing-wheel timer adapter with reusable handles (see
-// wheeltimer.go), and a buffered delivery queue toward the application. It
-// is the production driver; the simulator (internal/netem +
+// with goroutines. A dialed connection owns a connected socket and a reader
+// loop feeding each kernel batch into the machine; an accepted connection
+// shares the sockets of the serve engine (internal/serve), the one
+// acceptor, which creates it with NewAccepted and feeds it packets. Both
+// kinds run a hierarchical-timing-wheel timer adapter with reusable handles
+// (see wheeltimer.go) and a buffered delivery queue toward the application.
+// It is the production driver; the simulator (internal/netem +
 // internal/endpoint) is the reproducible one.
 //
 // Concurrency model: one mutex serialises every machine interaction (reader,
@@ -28,10 +31,9 @@ import (
 )
 
 // Conn is an IQ-RUDP connection over a UDP socket. Dialed connections own a
-// connected socket; accepted connections share their acceptor's socket(s)
-// and transmit through the sendTo hook (the udpwire Listener writes through
-// its single socket, the serve engine enqueues onto a shard's batched
-// writer).
+// connected socket; accepted connections share the serve engine's sockets
+// and transmit through the sendTo hook, which enqueues onto a shard's
+// batched writer.
 type Conn struct {
 	mu    sync.Mutex
 	m     *core.Machine
@@ -178,13 +180,10 @@ func (e env) Deliver(msg core.Message) {
 	}
 }
 
-// newConn wires a connection around an existing machine-less state. A nil
-// wh selects the process-wide default wheel (dialed connections and the
-// plain Listener); the serve engine passes its shard's wheel.
+// newConn wires a connection around an existing machine-less state. wh
+// drives the machine's timers: the process-wide default wheel for dialed
+// connections, the shard's wheel for the serve engine's.
 func newConn(cfg core.Config, sock *net.UDPConn, peer *net.UDPAddr, wh *wheel.Wheel) *Conn {
-	if wh == nil {
-		wh = DefaultWheel()
-	}
 	c := &Conn{
 		sock:        sock,
 		peer:        peer,
@@ -200,26 +199,20 @@ func newConn(cfg core.Config, sock *net.UDPConn, peer *net.UDPAddr, wh *wheel.Wh
 	return c
 }
 
-// NewAccepted builds the passive side of a connection for an acceptor that
-// demultiplexes a shared socket (the Listener in this package, or the serve
-// engine's shards): local is the shared socket's bound address, sendTo
-// transmits an encoded packet to a peer (a non-nil error is counted into the
-// machine's TxErrors metric and traced as tx_error, so a dead shared socket
-// or a stopped transmit loop is never silent), and onDetach (optional) is
-// invoked once when the connection closes so the acceptor can drop it from
-// its demux tables. sendTo borrows b only for the duration of the call: the
-// connection encodes its next datagram into the same buffer, so a writer
-// that queues must copy. The returned connection is passively open: feed it
-// the peer's SYN (and everything after) via HandleIncoming.
-func NewAccepted(cfg core.Config, local net.Addr, peer *net.UDPAddr, sendTo func(b []byte, peer *net.UDPAddr) error, onDetach func(c *Conn)) *Conn {
-	return NewAcceptedOn(nil, cfg, local, peer, sendTo, onDetach)
-}
-
-// NewAcceptedOn is NewAccepted with an explicit timing wheel driving the
-// connection's machine timers: the serve engine passes its shard's wheel so
-// timer dispatch stays shard-local. A nil wheel selects the process-wide
-// default.
-func NewAcceptedOn(wh *wheel.Wheel, cfg core.Config, local net.Addr, peer *net.UDPAddr, sendTo func(b []byte, peer *net.UDPAddr) error, onDetach func(c *Conn)) *Conn {
+// NewAccepted builds the passive side of a connection for the serve
+// engine, which demultiplexes shared sockets across shards: wh is the
+// shard's timing wheel, which drives the connection's machine timers so
+// timer dispatch stays shard-local; local is the shared socket's bound
+// address; sendTo transmits an encoded packet to a peer (a non-nil error is
+// counted into the machine's TxErrors metric and traced as tx_error, so a
+// dead shared socket or a stopped transmit loop is never silent); and
+// onDetach (optional) is invoked once when the connection closes so the
+// engine can drop it from its demux tables. sendTo borrows b only for the
+// duration of the call: the connection encodes its next datagram into the
+// same buffer, so a writer that queues must copy. The returned connection
+// is passively open: feed it the peer's SYN (and everything after) via
+// HandleIncoming or HandleRun.
+func NewAccepted(wh *wheel.Wheel, cfg core.Config, local net.Addr, peer *net.UDPAddr, sendTo func(b []byte, peer *net.UDPAddr) error, onDetach func(c *Conn)) *Conn {
 	c := newConn(cfg, nil, peer, wh)
 	c.local = local
 	c.sendTo = sendTo
@@ -269,7 +262,7 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 		sock.Close()
 		return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
 	}
-	c := newConn(cfg, sock, ua, nil)
+	c := newConn(cfg, sock, ua, DefaultWheel())
 	c.ownSocket = true
 	c.dialAddr = raddr
 	c.dialCfg = cfg
@@ -379,10 +372,10 @@ func (c *Conn) HandleRun(msgs []uio.Msg, p *packet.Packet) (bad int) {
 }
 
 // HandleIncoming feeds one decoded packet into the connection outside any
-// receive run, so a DATA packet is acknowledged at once; acceptors call it
-// for packets they decoded themselves (a SYN, the Listener's one-datagram
-// reads) and HandleRun for a run of raw datagrams. Safe for concurrent use
-// (the connection lock serialises the machine).
+// receive run, so a DATA packet is acknowledged at once; the serve engine
+// calls it for packets it decoded itself (the admitting SYN, a packet
+// routed on its own) and HandleRun for a run of raw datagrams. Safe for
+// concurrent use (the connection lock serialises the machine).
 func (c *Conn) HandleIncoming(p *packet.Packet) { c.handlePacket(p) }
 
 // ID returns the wire connection ID (zero on the passive side until the

@@ -1,4 +1,4 @@
-package udpwire
+package udpwire_test
 
 import (
 	"bytes"
@@ -61,17 +61,10 @@ func TestDeadPeerDetectedOverRealSockets(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Keepalive = 50 * time.Millisecond
 	cfg.DeadInterval = 500 * time.Millisecond
-	ln, err := Listen("127.0.0.1:0", core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Dial(ln.Addr().String(), cfg, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	// The "peer" vanishes without ceremony.
-	ln.Close()
+	_, cli, srv := pair(t, core.DefaultConfig(), cfg)
+	// The peer vanishes without ceremony: no FIN, no RST, and the engine
+	// drops the client's probes for the unknown ConnID.
+	srv.Abort()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if cli.Closed() {
@@ -156,5 +149,27 @@ func TestDroppedDeliveriesCounted(t *testing.T) {
 	// The connection is still usable.
 	if err := cli.Send([]byte("after-overrun"), true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDialedTxRingFlushes verifies a dialed connection actually transmits
+// through the batched TX ring: after a round trip the flush counter moved.
+func TestDialedTxRingFlushes(t *testing.T) {
+	ln, cli, srv := pair(t, core.DefaultConfig(), core.DefaultConfig())
+	defer ln.Close()
+	defer srv.Close()
+	defer cli.Close()
+
+	if err := cli.Send([]byte("ping"), true); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if _, err := srv.Recv(2 * time.Second); err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if got := cli.TxFlushes(); got == 0 {
+		t.Fatal("dialed connection did not flush through the TX ring")
+	}
+	if got := srv.TxFlushes(); got != 0 {
+		t.Fatalf("accepted connection should not use the TX ring, flushed %d", got)
 	}
 }

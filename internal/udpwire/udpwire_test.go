@@ -1,4 +1,4 @@
-package udpwire
+package udpwire_test
 
 import (
 	"bytes"
@@ -8,24 +8,37 @@ import (
 	"time"
 
 	"github.com/cercs/iqrudp/internal/core"
+	"github.com/cercs/iqrudp/internal/serve"
+	"github.com/cercs/iqrudp/internal/udpwire"
 )
 
-// pair spins up a loopback listener + dialed connection.
-func pair(t *testing.T, srvCfg, cliCfg core.Config) (*Listener, *Conn, *Conn) {
+// The loopback tests run dialed connections against the serve engine, the
+// one acceptor (serve imports udpwire, so they live in this external
+// package; export_test.go lends them the few internals they read).
+
+// listen starts the engine with its default options, as iqrudp.Listen does.
+func listen(t *testing.T, cfg core.Config) *serve.Server {
 	t.Helper()
-	ln, err := Listen("127.0.0.1:0", srvCfg)
+	ln, err := serve.Listen("127.0.0.1:0", cfg, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var srv *Conn
+	return ln
+}
+
+// pair spins up a loopback engine + dialed connection.
+func pair(t *testing.T, srvCfg, cliCfg core.Config) (*serve.Server, *udpwire.Conn, *udpwire.Conn) {
+	t.Helper()
+	ln := listen(t, srvCfg)
+	var srv *udpwire.Conn
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		srv, _ = ln.Accept(5 * time.Second)
 	}()
-	cli, err := Dial(ln.Addr().String(), cliCfg, 5*time.Second)
+	cli, err := udpwire.Dial(ln.Addr().String(), cliCfg, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +129,7 @@ func TestToleranceExchangedOnHandshake(t *testing.T) {
 	// Allow the handshake attribute to land.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		cli.mu.Lock()
-		tol := cli.m.PeerTolerance()
-		cli.mu.Unlock()
-		if tol == 0.25 {
+		if udpwire.PeerTolerance(cli) == 0.25 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -153,7 +163,7 @@ func TestRecvTimeout(t *testing.T) {
 	_, cli, _ := pair(t, core.DefaultConfig(), core.DefaultConfig())
 	start := time.Now()
 	_, err := cli.Recv(50 * time.Millisecond)
-	if err != ErrTimeout {
+	if err != udpwire.ErrTimeout {
 		t.Fatalf("err = %v", err)
 	}
 	if time.Since(start) > time.Second {
@@ -172,26 +182,22 @@ func TestCloseUnblocksRecvAndRejectsSend(t *testing.T) {
 	srv.Close()
 	select {
 	case err := <-done:
-		if err != ErrClosed {
+		if err != udpwire.ErrClosed {
 			t.Fatalf("recv err = %v", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on Close")
 	}
-	if err := srv.Send([]byte("x"), true); err != ErrClosed {
+	if err := srv.Send([]byte("x"), true); err != udpwire.ErrClosed {
 		t.Fatalf("send err = %v", err)
 	}
 	_ = cli
 }
 
-func TestListenerMultipleClients(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0", core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+func TestAcceptMultipleClients(t *testing.T) {
+	ln := listen(t, core.DefaultConfig())
 	const clients = 4
-	srvs := make(chan *Conn, clients)
+	srvs := make(chan *udpwire.Conn, clients)
 	go func() {
 		for i := 0; i < clients; i++ {
 			c, err := ln.Accept(5 * time.Second)
@@ -201,9 +207,9 @@ func TestListenerMultipleClients(t *testing.T) {
 			srvs <- c
 		}
 	}()
-	var clis []*Conn
+	var clis []*udpwire.Conn
 	for i := 0; i < clients; i++ {
-		c, err := Dial(ln.Addr().String(), core.DefaultConfig(), 5*time.Second)
+		c, err := udpwire.Dial(ln.Addr().String(), core.DefaultConfig(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +240,7 @@ func TestListenerMultipleClients(t *testing.T) {
 
 func TestDialUnreachableTimesOut(t *testing.T) {
 	start := time.Now()
-	_, err := Dial("127.0.0.1:1", core.DefaultConfig(), 300*time.Millisecond)
+	_, err := udpwire.Dial("127.0.0.1:1", core.DefaultConfig(), 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("dial to dead port succeeded")
 	}

@@ -31,9 +31,9 @@ import (
 // their goroutines block on channel receive, which a wheel callback cannot
 // serve.
 
-// defaultWheel drives the timers of dialed connections and plain-Listener
-// accepts; serve shards run their own wheels (NewAcceptedOn). Lazily
-// started, never stopped: one goroutine process-wide.
+// defaultWheel drives the timers of dialed connections; serve shards run
+// their own wheels (NewAccepted). Lazily started, never stopped: one
+// goroutine process-wide.
 var (
 	defaultWheelOnce sync.Once
 	defaultWheel     *wheel.Wheel

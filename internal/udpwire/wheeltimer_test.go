@@ -14,7 +14,7 @@ import (
 // handle and every Stop returns it — arm/stop and arm/fire cycles must not
 // touch the heap.
 func TestWheelTimerRearmAllocFree(t *testing.T) {
-	c := NewAccepted(core.DefaultConfig(), nil,
+	c := NewAccepted(DefaultWheel(), core.DefaultConfig(), nil,
 		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9},
 		func(b []byte, peer *net.UDPAddr) error { return nil }, nil)
 	defer c.Abort()
@@ -39,7 +39,7 @@ func TestWheelTimerRearmAllocFree(t *testing.T) {
 // to the freelist before running the machine callback, so an in-callback
 // re-arm reuses the same handle.
 func TestWheelTimerFireRecycles(t *testing.T) {
-	c := NewAccepted(core.DefaultConfig(), nil,
+	c := NewAccepted(DefaultWheel(), core.DefaultConfig(), nil,
 		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9},
 		func(b []byte, peer *net.UDPAddr) error { return nil }, nil)
 	defer c.Abort()

@@ -19,7 +19,8 @@
 //     transport re-adapts its window and send pipeline accordingly.
 //
 // Two drivers run the same protocol machine: this package's Dial/Listen run
-// it over real UDP sockets; the simnet subpackage runs it on a
+// it over real UDP sockets (Listen starts the sharded server engine, the
+// one acceptor); the simnet subpackage runs it on a
 // deterministic network simulator (the evaluation substrate that regenerates
 // the paper's tables — see cmd/iqbench).
 //
@@ -228,14 +229,11 @@ var (
 type (
 	// Conn is an IQ-RUDP connection over a UDP socket.
 	Conn = udpwire.Conn
-	// Listener accepts IQ-RUDP connections on a UDP socket. It is the
-	// simple portable acceptor; Server is the scalable engine.
-	Listener = udpwire.Listener
-	// Server is the sharded multi-connection server engine: ConnID-keyed
-	// demux with peer-address migration, per-shard SO_REUSEPORT sockets and
-	// batched I/O on Linux, RST backpressure and graceful drain.
+	// Server accepts IQ-RUDP connections: the sharded server engine, with
+	// ConnID-keyed demux and peer-address migration, per-shard SO_REUSEPORT
+	// sockets and batched I/O on Linux, RST backpressure and graceful drain.
 	Server = serve.Server
-	// ServerOptions tunes the engine (shards, backlog, batch, drain).
+	// ServerOptions tunes the engine (shards, backlog, drain, validation).
 	ServerOptions = serve.Options
 	// ServerStats is a point-in-time snapshot of the engine's counters.
 	ServerStats = serve.Stats
@@ -294,15 +292,17 @@ func DialTimeout(raddr string, cfg Config, timeout time.Duration) (*Conn, error)
 	return udpwire.Dial(raddr, cfg, timeout)
 }
 
-// Listen binds laddr ("host:port") and accepts connections configured
-// with cfg.
-func Listen(laddr string, cfg Config) (*Listener, error) {
-	return udpwire.Listen(laddr, cfg)
+// Listen binds laddr ("host:port") and starts the server engine with its
+// default options; accepted connections are configured with cfg. A client
+// whose source address changes mid-connection (a NAT rebind) keeps its
+// connection: the engine identifies connections by ConnID, not address.
+func Listen(laddr string, cfg Config) (*Server, error) {
+	return serve.Listen(laddr, cfg, serve.Options{})
 }
 
-// ListenServer binds laddr and starts the scalable server engine. Accepted
-// connections are ordinary *Conn values. A zero ServerOptions selects
-// defaults (GOMAXPROCS shards, backlog 128, batch 32, 5 s drain).
+// ListenServer is Listen with explicit engine options. Accepted connections
+// are ordinary *Conn values. A zero ServerOptions selects the defaults
+// (GOMAXPROCS shards, backlog 128, 5 s drain).
 func ListenServer(laddr string, cfg Config, opts ServerOptions) (*Server, error) {
 	return serve.Listen(laddr, cfg, opts)
 }

@@ -2,11 +2,13 @@ package iqrudp_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	iqrudp "github.com/cercs/iqrudp"
 	"github.com/cercs/iqrudp/echo"
+	"github.com/cercs/iqrudp/internal/chaoswire"
 	"github.com/cercs/iqrudp/simnet"
 )
 
@@ -46,6 +48,76 @@ func TestPublicDialListen(t *testing.T) {
 	}
 	if cli.Metrics().SentPackets == 0 {
 		t.Fatal("metrics empty")
+	}
+}
+
+// TestPublicListenMigrates: a client whose source port changes mid-stream
+// (a NAT rebind, played by a fault-free chaoswire proxy swapping its
+// upstream socket) keeps its connection through iqrudp.Listen, and every
+// marked message is delivered in order.
+func TestPublicListenMigrates(t *testing.T) {
+	ln, err := iqrudp.Listen("127.0.0.1:0", iqrudp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nat, err := chaoswire.New(ln.Addr().String(), chaoswire.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nat.Close()
+
+	got := make(chan string, 64)
+	go func() {
+		c, err := ln.Accept(5 * time.Second)
+		if err != nil {
+			return
+		}
+		for {
+			msg, err := c.Recv(0)
+			if err != nil {
+				return
+			}
+			got <- string(msg.Data)
+		}
+	}()
+	cli, err := iqrudp.DialTimeout(nat.Addr(), iqrudp.DefaultConfig(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	const half = 20
+	next := 0
+	expect := func(upTo int) {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for ; next < upTo; next++ {
+			select {
+			case m := <-got:
+				if want := fmt.Sprintf("m%02d", next); m != want {
+					t.Fatalf("delivered %q, want %q", m, want)
+				}
+			case <-deadline:
+				t.Fatalf("delivered %d of %d marked messages (rebinds %d, migrations %d)",
+					next, upTo, nat.Stats().Rebinds, ln.Stats().Migrations)
+			}
+		}
+	}
+	for i := 0; i < 2*half; i++ {
+		if i == half {
+			expect(half)
+			if err := nat.Rebind(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cli.Send([]byte(fmt.Sprintf("m%02d", i)), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect(2 * half)
+	if ln.Stats().Migrations == 0 {
+		t.Fatal("the engine recorded no migration")
 	}
 }
 
