@@ -12,7 +12,7 @@ GO ?= go
 CHAOS_SEED ?= 1
 CHAOS_DUR  ?= 5s
 
-.PHONY: check build test vet lint race bench-compile race-smoke chaos-smoke attack-smoke fuzz-smoke bench bench-alloc bench-obs bench-server bench-fec benchstat tables
+.PHONY: check build test vet lint race bench-compile race-smoke chaos-smoke attack-smoke fuzz-smoke wire-smoke bench bench-alloc bench-obs bench-server bench-fec benchstat tables
 
 check: vet lint build race bench-compile ## vet + iqlint + build + full race-enabled test run (includes the short seeded chaos pass) + the benchmark module's vet and tests
 
@@ -57,6 +57,16 @@ fuzz-smoke: ## bounded fuzz pass over the decoders, the reassembler and ACK coal
 	$(GO) test -fuzz '^FuzzAttrDecode$$' -fuzztime 20s -run '^$$' ./internal/attr/
 	$(GO) test -fuzz '^FuzzReassembly$$' -fuzztime 20s -run '^$$' ./internal/core/
 	$(GO) test -fuzz '^FuzzAckRuns$$' -fuzztime 20s -run '^$$' ./internal/core/
+
+# wire-smoke is the counted gate: wire_efficiency (payload bytes / bytes on
+# the wire at the sink's socket) on bulk_small. A byte count, so it repeats
+# exactly run to run; 0.74 sits below the ≈0.76 the compact wire v3 header
+# gives and far above the 0.54 of the 47-byte v2 header.
+wire-smoke: ## short bulk_small benchmark run: fails unless it is correct and wire_efficiency >= 0.74
+	bash bench/run.sh --workload bulk_small --seed 1 --seconds 3 --trace 0 | tail -n 1 | \
+	python3 -c 'import json, sys; r = json.load(sys.stdin); w = r["metrics"]["wire_efficiency"]["value"]; \
+	print("wire-smoke: correct=%s wire_efficiency=%.4f (min 0.74)" % (r["correct"], w)); \
+	sys.exit(0 if r["correct"] is True and w >= 0.74 else 1)'
 
 bench: ## nil-tracer send-path benchmarks (compare against a saved baseline)
 	$(GO) test -bench . -benchtime 3x -run '^$$' .

@@ -185,8 +185,8 @@ func newPipePairCfg(tb testing.TB, mk func() core.Config) (*core.Machine, *pipeW
 	return a, w
 }
 
-// sendRound pushes one message through a full round (send, deliver, ack,
-// probe, probe-ack) and nudges virtual time forward.
+// sendRound pushes one message through a full round (send, deliver, ack)
+// and nudges virtual time forward.
 func sendRound(a *core.Machine, w *pipeWorld, payload []byte) {
 	base := w.delivered
 	if err := a.Send(payload, true); err != nil {
@@ -221,13 +221,15 @@ func measureRoundAllocsCfg(tb testing.TB, mk func() core.Config) (roundAllocs, p
 
 // TestSteadyStateAllocs pins the end-to-end allocation budget of the data
 // fast path: at most 2 allocations per packet (the pre-fast-path tree spent
-// 5), with the expected 4-packet round shape.
+// 5), with the expected 2-packet round shape: DATA and its ACK. (Until the
+// sender stopped re-announcing a forward point equal to the cumulative ack,
+// every round also carried a NUL forward probe and the ACK answering it.)
 func TestSteadyStateAllocs(t *testing.T) {
 	roundAllocs, pktsPerRound := measureRoundAllocs(t)
 	t.Logf("round_allocs=%.2f pkts_per_round=%.2f allocs_per_pkt=%.2f",
 		roundAllocs, pktsPerRound, roundAllocs/pktsPerRound)
-	if pktsPerRound < 3.5 || pktsPerRound > 4.5 {
-		t.Fatalf("unexpected round shape: %.2f packets per message round, want ~4", pktsPerRound)
+	if pktsPerRound < 1.5 || pktsPerRound > 2.5 {
+		t.Fatalf("unexpected round shape: %.2f packets per message round, want ~2", pktsPerRound)
 	}
 	if perPkt := roundAllocs / pktsPerRound; perPkt > 2 {
 		t.Fatalf("steady-state data path allocates %.2f/packet (%.2f/round), budget is 2",
@@ -235,9 +237,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSendRecvSteadyState measures one full message round (4 packets on
-// the wire) through the allocation-free pipe: send, deliver, ack, forward
-// probe, probe ack.
+// BenchmarkSendRecvSteadyState measures one full message round (2 packets on
+// the wire) through the allocation-free pipe: send, deliver, ack.
 func BenchmarkSendRecvSteadyState(b *testing.B) {
 	a, w := newPipePair(b)
 	payload := make([]byte, 1200)

@@ -137,7 +137,7 @@ func TestObsBenchJSON(t *testing.T) {
 		FullOverhead float64 `json:"full_ns_overhead_ratio"`
 	}{
 		Generated:    time.Now().UTC().Format(time.RFC3339),
-		Bench:        "steady-state message round (4 packets) on the allocation-free pipe, best of 3",
+		Bench:        "steady-state message round (2 packets) on the allocation-free pipe, best of 3",
 		Off:          leg{offNs, offAllocs},
 		On:           leg{onNs, onAllocs},
 		Full:         leg{fullNs, fullAllocs},

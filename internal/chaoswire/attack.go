@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/cercs/iqrudp/internal/attr"
 	"github.com/cercs/iqrudp/internal/packet"
 )
 
@@ -149,7 +150,8 @@ func NewAttacker(dst string, cfg AttackConfig) (*Attacker, error) {
 // first source, answered by RETRY, yields a cookie minted for that source.
 func (a *Attacker) fetchCookie() ([]byte, error) {
 	sock := a.socks[0]
-	b, err := packet.Encode(&packet.Packet{Type: packet.SYN, ConnID: 0x5EED, Seq: 1, Wnd: 64})
+	syn := forgeSyn(0x5EED, 1, nil)
+	b, err := packet.Encode(&syn)
 	if err != nil {
 		return nil, err
 	}
@@ -217,26 +219,30 @@ func (a *Attacker) sendLoop(idx int, sock *net.UDPConn, rate int) {
 	}
 }
 
+// synAttrs is the handshake attribute block a dialer's SYN carries; shared
+// read-only by every forged SYN.
+var synAttrs = attr.NewList(attr.Attr{Name: attr.LossTolerance, Value: attr.Float(0)})
+
+// forgeSyn builds a SYN shaped like a dialer's — ack block and handshake
+// attributes — so it clears the engine's packet.MinSynSize floor and costs
+// the attacker what a legitimate SYN costs.
+func forgeSyn(connID, seq uint32, payload []byte) packet.Packet {
+	return packet.Packet{
+		Type: packet.SYN, Flags: packet.FlagAck, ConnID: connID, Seq: seq, Wnd: 64,
+		Attrs: synAttrs, Payload: payload,
+	}
+}
+
 // forge builds one attack datagram into b.
 func (a *Attacker) forge(b []byte, rng *rand.Rand) []byte {
 	switch a.cfg.Kind {
 	case SynFlood:
-		p := packet.Packet{
-			Type:   packet.SYN,
-			ConnID: rng.Uint32() | 1, // nonzero
-			Seq:    rng.Uint32(),
-			Wnd:    64,
-		}
+		p := forgeSyn(rng.Uint32()|1, rng.Uint32(), nil) // nonzero ConnID
 		b, _ = packet.AppendEncode(b, &p)
 		return b
 	case CookieReplay:
-		p := packet.Packet{
-			Type:    packet.SYN,
-			ConnID:  rng.Uint32() | 1, // foreign ConnID: off the cookie's binding
-			Seq:     rng.Uint32(),
-			Wnd:     64,
-			Payload: packet.AppendCookieBlock(nil, a.cookie),
-		}
+		// A foreign ConnID: off the cookie's binding.
+		p := forgeSyn(rng.Uint32()|1, rng.Uint32(), packet.AppendCookieBlock(nil, a.cookie))
 		b, _ = packet.AppendEncode(b, &p)
 		return b
 	default: // Garbage

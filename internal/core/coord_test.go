@@ -75,7 +75,7 @@ func establishedMachine(cfg Config) (*Machine, *nullEnv) {
 	m := NewMachine(cfg, env)
 	m.initiator = true
 	m.state = stSynSent
-	m.HandlePacket(&packet.Packet{Type: packet.SYNACK, Seq: 100, Ack: 2, Wnd: 64,
+	m.HandlePacket(&packet.Packet{Type: packet.SYNACK, Flags: packet.FlagAck, Seq: 100, Ack: 2, Wnd: 64,
 		Attrs: attr.NewList(attr.Attr{Name: attr.LossTolerance, Value: attr.Float(0.4)})})
 	return m, env
 }

@@ -64,6 +64,10 @@ type Env interface {
 
 // Message is a reassembled application message delivered to the receiver.
 type Message struct {
+	// ID is the sequence number of the message's first fragment. It is
+	// unique among the connection's messages (until sequence numbers wrap)
+	// and increases with send order; a message whose leading fragments were
+	// skipped keeps it, since every fragment names its message as Seq − Frag.
 	ID      uint32
 	Data    []byte
 	Marked  bool
@@ -73,7 +77,10 @@ type Message struct {
 	// message's first fragment (nil when none).
 	Attrs *attr.List
 
-	// SentAt is the sender's timestamp from the first received fragment;
+	// SentAt is the earliest sender timestamp among the received fragments
+	// (a fragment rebuilt by FEC carries that of the packet that completed
+	// its repair group), unwrapped from the wire's 32-bit microseconds to
+	// the instant nearest the local clock (see packet.TSUnwrap);
 	// DeliveredAt is the local delivery time. Their difference is one-way
 	// delay in the simulator (clocks are shared there).
 	SentAt      time.Duration

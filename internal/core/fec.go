@@ -104,11 +104,10 @@ func (m *Machine) emitRepair(reason string) {
 		ConnID:  m.connID,
 		Seq:     base,
 		FragCnt: uint16(span),
-		Ack:     m.rcvNxt,
-		Wnd:     m.advertiseWnd(),
 		TS:      now,
 		Payload: parity,
 	}
+	m.attachAck(&m.out)
 	m.lastSent = now
 	m.env.Emit(&m.out)
 }
@@ -122,7 +121,12 @@ func (m *Machine) emitRepair(reason string) {
 func (m *Machine) handleRepair(p *packet.Packet) {
 	switch m.state {
 	case stSynRcvd:
-		m.establish() // traffic from the initiator completes the handshake
+		// Traffic from the initiator completes the handshake, under the
+		// return-routability rule DATA obeys (see handleData).
+		if !p.HasAck() || p.Ack != m.sndUna {
+			return
+		}
+		m.establish()
 	case stEstablished, stFinWait:
 	default:
 		return
@@ -135,7 +139,7 @@ func (m *Machine) handleRepair(p *packet.Packet) {
 		m.fecDec = fec.NewDecoder(fec.XOR{}, 0)
 	}
 	m.fecQueue = m.fecDec.OnRepair(p.Seq, int(p.FragCnt), p.Payload, m.rcvNxt, m.env.Now(), m.fecQueue)
-	m.drainFecQueue()
+	m.drainFecQueue(p.TS)
 }
 
 // fecOnData records one arriving DATA packet with the decoder (every
@@ -146,15 +150,17 @@ func (m *Machine) handleRepair(p *packet.Packet) {
 func (m *Machine) fecOnData(p *packet.Packet) {
 	m.fecQueue = m.fecDec.OnData(p.Seq, p.Flags, p.MsgID, p.Frag, p.FragCnt, p.Attrs, p.Payload, m.env.Now(), m.fecQueue)
 	if len(m.fecQueue) > 0 {
-		m.drainFecQueue()
+		m.drainFecQueue(p.TS)
 	}
 }
 
 // drainFecQueue re-injects queued reconstructions through HandlePacket.
 // Re-injection runs handleData, whose decoder hook may reconstruct further
 // packets; those append to the queue and this outermost frame drains them
-// (fecDraining guards the recursion).
-func (m *Machine) drainFecQueue() {
+// (fecDraining guards the recursion). ts is the timestamp of the wire
+// packet whose arrival unlocked the reconstructions: the lost originals
+// left the sender no later than it, so it stands in for their own.
+func (m *Machine) drainFecQueue(ts time.Duration) {
 	if m.fecDraining {
 		return
 	}
@@ -164,7 +170,7 @@ func (m *Machine) drainFecQueue() {
 		n := copy(m.fecQueue, m.fecQueue[1:])
 		m.fecQueue[n] = fec.Recovered{} // drop buffer references
 		m.fecQueue = m.fecQueue[:n]
-		m.acceptRecovered(r)
+		m.acceptRecovered(r, ts)
 	}
 	m.fecDraining = false
 }
@@ -172,8 +178,8 @@ func (m *Machine) drainFecQueue() {
 // acceptRecovered re-frames one reconstructed packet as DATA and feeds it
 // through the normal receive path, so everything downstream — reassembly,
 // EACK generation, delivery metrics, tracing — treats it exactly like a
-// wire arrival.
-func (m *Machine) acceptRecovered(r fec.Recovered) {
+// wire arrival. ts stands in for the lost packet's timestamp.
+func (m *Machine) acceptRecovered(r fec.Recovered, ts time.Duration) {
 	now := m.env.Now()
 	marked := r.Flags&packet.FlagMarked != 0
 	m.metrics.FecRecovered++
@@ -199,6 +205,7 @@ func (m *Machine) acceptRecovered(r fec.Recovered) {
 		MsgID:   r.MsgID,
 		Frag:    r.Frag,
 		FragCnt: r.FragCnt,
+		TS:      ts,
 		Attrs:   r.Attrs,
 		Payload: append(payload[:0], r.Payload...),
 	}

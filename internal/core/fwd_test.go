@@ -27,7 +27,7 @@ func TestRtoRetransmissionCarriesForwardPoint(t *testing.T) {
 	// skipped. The forward point (6) goes out once, in a probe the test
 	// drops.
 	from := len(env.emitted)
-	m.HandlePacket(&packet.Packet{Type: packet.EACK, Ack: 2, Wnd: 64, Eacks: []uint32{3, 4, 5}})
+	m.HandlePacket(&packet.Packet{Type: packet.EACK, Flags: packet.FlagAck, Ack: 2, Wnd: 64, Eacks: []uint32{3, 4, 5}})
 	if m.fwdSeq != 6 || m.fwdPending {
 		t.Fatalf("after the skip: fwdSeq=%d pending=%v, want 6 already announced", m.fwdSeq, m.fwdPending)
 	}
@@ -72,7 +72,7 @@ func TestFinWaitsForForwardPoint(t *testing.T) {
 	}
 	// Everything above seq 2 arrives: 2 is skipped, and the forward point
 	// (7) goes out once, in a probe the test drops.
-	m.HandlePacket(&packet.Packet{Type: packet.EACK, Ack: 2, Wnd: 64, Eacks: []uint32{3, 4, 5, 6}})
+	m.HandlePacket(&packet.Packet{Type: packet.EACK, Flags: packet.FlagAck, Ack: 2, Wnd: 64, Eacks: []uint32{3, 4, 5, 6}})
 	if m.fwdSeq != 7 {
 		t.Fatalf("after the skip: fwdSeq=%d, want 7", m.fwdSeq)
 	}
@@ -104,7 +104,7 @@ func TestFinWaitsForForwardPoint(t *testing.T) {
 
 	// The peer acknowledges past the hole: now the FIN goes.
 	from = len(env.emitted)
-	m.HandlePacket(&packet.Packet{Type: packet.ACK, Ack: 7, Wnd: 64})
+	m.HandlePacket(&packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, Ack: 7, Wnd: 64})
 	if fin := finAfter(from); fin == nil || fin.Seq != 7 {
 		t.Fatalf("no FIN at seq 7 once the forward point was acknowledged: %v", fin)
 	}

@@ -101,8 +101,7 @@ type Machine struct {
 	inFlight   int        // flight entries not yet done() — kept incrementally
 	sackedCnt  int        // flight entries with sacked set — gates loss scans
 	spFree     []*sendPkt // sendPkt freelist (see getSendPkt/putSendPkt)
-	nextMsgID  uint32
-	lastAck    uint32 // last cumulative ack seen
+	lastAck    uint32     // last cumulative ack seen
 	dupAcks    int
 	inRecovery bool   // a loss episode is being repaired
 	recoverTo  uint32 // episode ends when sndUna passes this
@@ -337,6 +336,7 @@ func (m *Machine) sendSyn() {
 	}
 	p := &packet.Packet{
 		Type:    packet.SYN,
+		Flags:   packet.FlagAck, // the ack block carries our receive window
 		ConnID:  m.connID,
 		Seq:     m.sndISN,
 		Wnd:     m.cfg.RecvWindow,
@@ -443,10 +443,7 @@ func (m *Machine) maybeFinish() {
 		m.emitRepair(trace.ReasonFecFlush)
 	}
 	m.setState(stFinWait)
-	m.out = packet.Packet{
-		Type: packet.FIN, ConnID: m.connID, Seq: m.sndNxt, Ack: m.rcvNxt,
-		TS: m.env.Now(),
-	}
+	m.out = packet.Packet{Type: packet.FIN, ConnID: m.connID, Seq: m.sndNxt, TS: m.env.Now()}
 	m.env.Emit(&m.out)
 	m.armConnRetry(m.finRetryFn)
 }
@@ -531,10 +528,7 @@ func (m *Machine) onLiveTick() {
 		return
 	}
 	if m.cfg.Keepalive > 0 && now-m.lastSent >= m.cfg.Keepalive {
-		m.out = packet.Packet{
-			Type: packet.NUL, ConnID: m.connID,
-			Seq: m.sndNxt, Ack: m.rcvNxt, Wnd: m.advertiseWnd(), TS: now,
-		}
+		m.out = packet.Packet{Type: packet.NUL, ConnID: m.connID, Seq: m.sndNxt, TS: now}
 		m.env.Emit(&m.out)
 		m.lastSent = now
 	}
@@ -591,7 +585,7 @@ func (m *Machine) HandlePacket(p *packet.Packet) {
 	case packet.NUL:
 		m.handleNul(p)
 	case packet.FIN:
-		m.out = packet.Packet{Type: packet.FINACK, ConnID: m.connID, Ack: p.Seq, TS: m.env.Now()}
+		m.out = packet.Packet{Type: packet.FINACK, ConnID: m.connID, TS: m.env.Now()}
 		m.env.Emit(&m.out)
 		m.abortWith(trace.ReasonRemoteFin)
 	case packet.FINACK:
@@ -653,7 +647,9 @@ func (m *Machine) handleSyn(p *packet.Packet) {
 	if m.state == stClosed || m.state == stSynRcvd {
 		m.connID = p.ConnID
 		m.setState(stSynRcvd)
-		m.peerWnd = p.Wnd
+		if p.HasAck() {
+			m.peerWnd = p.Wnd
+		}
 		m.rcvNxt = p.Seq + 1
 		if tol, err := p.Attrs.Float(attr.LossTolerance); err == nil {
 			m.peerTol = tol
@@ -661,7 +657,7 @@ func (m *Machine) handleSyn(p *packet.Packet) {
 		if v, err := p.Attrs.Int(attr.FECGroup); err == nil && v > 0 {
 			m.peerFecGroup = int(v)
 		}
-		m.sendSynAck(p.TS)
+		m.sendSynAck(p.TS, true)
 		// Retry until the initiator's first ACK or DATA establishes us: the
 		// SYNACK (or the final handshake leg) can be lost. A fresh SYN
 		// restarts the retry budget — only a peer that goes silent mid-
@@ -671,9 +667,17 @@ func (m *Machine) handleSyn(p *packet.Packet) {
 	}
 }
 
-func (m *Machine) sendSynAck(tsEcho time.Duration) {
+// sendSynAck emits the SYNACK, echoing the SYN's timestamp when echo is set
+// (a retransmission echoes nothing: the sample would include the retry
+// interval).
+func (m *Machine) sendSynAck(tsEcho time.Duration, echo bool) {
+	flags := packet.FlagAck
+	if echo {
+		flags |= packet.FlagEcho
+	}
 	m.env.Emit(&packet.Packet{
 		Type:   packet.SYNACK,
+		Flags:  flags,
 		ConnID: m.connID,
 		Seq:    m.sndISN,
 		Ack:    m.rcvNxt,
@@ -711,7 +715,7 @@ func (m *Machine) synAckRetry() {
 		m.abortWith(trace.ReasonHandshakeTimeout)
 		return
 	}
-	m.sendSynAck(0)
+	m.sendSynAck(0, false)
 	m.armConnRetry(m.synAckRetry)
 }
 
@@ -725,7 +729,9 @@ func (m *Machine) handleSynAck(p *packet.Packet) {
 	if m.state != stSynSent {
 		return
 	}
-	m.peerWnd = p.Wnd
+	if p.HasAck() {
+		m.peerWnd = p.Wnd
+	}
 	m.rcvNxt = p.Seq + 1
 	if tol, err := p.Attrs.Float(attr.LossTolerance); err == nil {
 		m.peerTol = tol
@@ -733,8 +739,8 @@ func (m *Machine) handleSynAck(p *packet.Packet) {
 	if v, err := p.Attrs.Int(attr.FECGroup); err == nil && v > 0 {
 		m.peerFecGroup = int(v)
 	}
-	if p.TSEcho > 0 {
-		m.sampleRTT(m.env.Now() - p.TSEcho)
+	if p.HasEcho() {
+		m.sampleRTT(packet.TSSince(m.env.Now(), p.TSEcho))
 	}
 	m.establish()
 	// Complete the three-way exchange so the passive side establishes too.

@@ -112,7 +112,7 @@ func TestMachineHistRecording(t *testing.T) {
 			ts = p.TS
 		}
 	}
-	m.HandlePacket(&packet.Packet{Type: packet.ACK, Ack: m.sndNxt, Wnd: 64, TSEcho: ts})
+	m.HandlePacket(&packet.Packet{Type: packet.ACK, Flags: packet.FlagAck | packet.FlagEcho, Ack: m.sndNxt, Wnd: 64, TSEcho: ts})
 
 	hs := m.Hists()
 	if hs == nil {

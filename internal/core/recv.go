@@ -24,8 +24,10 @@ func (m *Machine) handleData(p *packet.Packet) {
 		// Data from the initiator completes the handshake, under the same
 		// return-routability rule as handleAck: the piggybacked ack must
 		// cover our SYNACK's ISN, which a blind spoofer cannot know once
-		// the driver picks a random one.
-		if p.Ack != m.sndUna {
+		// the driver picks a random one. Data without an ack block proves
+		// nothing and is dropped; the initiator keeps the block on its data
+		// until it has heard an ack of it (see attachAck).
+		if !p.HasAck() || p.Ack != m.sndUna {
 			return
 		}
 		m.establish()
@@ -66,7 +68,7 @@ func (m *Machine) handleData(p *packet.Packet) {
 	if m.inRun && reason == "" && len(m.ooo) == 0 {
 		m.oweAck(p.TS)
 	} else {
-		m.sendAckEcho(p.TS)
+		m.sendAckEcho(p.TS, true)
 	}
 	// Every arrival — fresh, duplicate or out-of-order — feeds the repair
 	// decoder after normal processing; reconstructions it unlocks re-enter
@@ -168,9 +170,12 @@ func newReassembler(m *Machine) *reassembler { return &reassembler{m: m} }
 //
 //iqlint:borrow
 func (r *reassembler) addFragment(p *packet.Packet) {
+	// Unwrap against the arrival time HandlePacket just recorded, which
+	// saves reading the clock again per fragment.
+	ts := packet.TSUnwrap(p.TS, r.m.lastHeard)
 	if !r.active || r.cur != p.MsgID {
 		r.flushIncomplete()
-		r.start(p)
+		r.start(p, ts)
 	}
 	idx := int(p.Frag)
 	if idx >= r.fragCnt {
@@ -195,8 +200,8 @@ func (r *reassembler) addFragment(p *packet.Packet) {
 		r.attrs = p.Attrs
 		r.attrsSet = true
 	}
-	if r.sentAt == 0 || p.TS < r.sentAt {
-		r.sentAt = p.TS
+	if ts < r.sentAt {
+		r.sentAt = ts
 	}
 	r.maybeComplete()
 }
@@ -216,8 +221,11 @@ func (r *reassembler) skipSeq(seq uint32) {
 	r.orphanSkips++
 }
 
+// start opens the message p is a fragment of; ts is p's unwrapped
+// timestamp.
+//
 //iqlint:borrow
-func (r *reassembler) start(p *packet.Packet) {
+func (r *reassembler) start(p *packet.Packet, ts time.Duration) {
 	r.cur = p.MsgID
 	r.active = true
 	r.fragCnt = int(p.FragCnt)
@@ -228,19 +236,21 @@ func (r *reassembler) start(p *packet.Packet) {
 	// fragment seen bounds the message size; a message whose leading
 	// fragments were skipped may underestimate and grow once.
 	r.data = make([]byte, 0, r.fragCnt*len(p.Payload))
-	r.nextIdx = 0
 	r.got = 0
-	r.skipped = 0
 	r.marked = false
 	r.attrsSet = false
 	r.attrs = nil
-	r.sentAt = 0
-	if r.orphanSkips > 0 {
-		// Holes that preceded this message: they were fragments of fully
-		// skipped messages.
+	r.sentAt = ts
+	// The holes just below p that its fragment index accounts for were this
+	// message's leading fragments; any before those were fragments of
+	// wholly skipped messages.
+	lead := min(int(p.Frag), r.orphanSkips)
+	r.skipped = lead
+	r.nextIdx = lead
+	if r.orphanSkips > lead {
 		r.m.metrics.LostMsgs++
-		r.orphanSkips = 0
 	}
+	r.orphanSkips = 0
 }
 
 // maybeComplete delivers the message once every fragment is accounted for.
@@ -266,7 +276,7 @@ func (r *reassembler) maybeComplete() {
 	if msg.Partial {
 		r.m.metrics.PartialMsgs++
 	}
-	if r.m.hs != nil && msg.Marked && msg.SentAt > 0 {
+	if r.m.hs != nil && msg.Marked {
 		// Send→deliver latency for marked messages. SentAt is the sender's
 		// packet timestamp, so the difference crosses clock domains over real
 		// sockets; RecordDur clamps the skew-negative case to zero.

@@ -32,7 +32,7 @@ func TestCarryoverIncludesSackedUndelivered(t *testing.T) {
 
 	// The first packet is lost on the wire; the second arrives out of order.
 	// The peer EACKs it without moving the cumulative ack.
-	m.HandlePacket(&packet.Packet{Type: packet.EACK, Ack: seqs[0], Wnd: 64, Eacks: []uint32{seqs[1]}})
+	m.HandlePacket(&packet.Packet{Type: packet.EACK, Flags: packet.FlagAck, Ack: seqs[0], Wnd: 64, Eacks: []uint32{seqs[1]}})
 
 	m.Abort()
 	carry := m.CarryoverMarked()
@@ -65,7 +65,7 @@ func TestCarryoverExcludesCumAcked(t *testing.T) {
 	}
 
 	// Cumulative ack past the first packet only.
-	m.HandlePacket(&packet.Packet{Type: packet.ACK, Ack: seqs[1], Wnd: 64})
+	m.HandlePacket(&packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, Ack: seqs[1], Wnd: 64})
 
 	m.Abort()
 	carry := m.CarryoverMarked()

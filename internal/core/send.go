@@ -91,8 +91,9 @@ func (m *Machine) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 		return nil
 	}
 
-	msgID := m.nextMsgID
-	m.nextMsgID++
+	// A message is named by its first fragment's sequence number, which the
+	// receiver recovers from any fragment as Seq − Frag (see packet.Packet).
+	msgID := m.sndNxt
 	for i := 0; i < frags; i++ {
 		lo, hi := i*mss, (i+1)*mss
 		if hi > len(data) {
@@ -388,8 +389,6 @@ func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
 		Flags:   sp.flags,
 		ConnID:  m.connID,
 		Seq:     sp.seq,
-		Ack:     m.rcvNxt,
-		Wnd:     m.advertiseWnd(),
 		MsgID:   sp.msgID,
 		Frag:    sp.frag,
 		FragCnt: sp.fragCnt,
@@ -397,6 +396,7 @@ func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
 		Attrs:   sp.attrs, // already a private clone, made at SendMsg
 		Payload: sp.payload,
 	}
+	m.attachAck(&m.out)
 	if m.fwdPending {
 		m.out.Flags |= packet.FlagFwd
 		m.out.Fwd = m.fwdSeq
@@ -412,10 +412,27 @@ func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
 	}
 }
 
+// attachAck adds the ack block to an outgoing DATA or REPAIR packet while
+// the initiator's data may still be what completes the passive side's
+// handshake: until the peer's cumulative ack covers any of our data, the
+// third-leg ACK may have been lost, and the passive side establishes only
+// on a packet whose ack covers its ISN (see handleData). Afterwards the
+// peer ignores ack fields on data, so they stay off the wire.
+func (m *Machine) attachAck(p *packet.Packet) {
+	if m.initiator && m.sndUna == m.sndISN+1 {
+		p.Flags |= packet.FlagAck
+		p.Ack = m.rcvNxt
+		p.Wnd = m.advertiseWnd()
+	}
+}
+
 // handleAck processes cumulative acknowledgements and EACK extents.
 //
 //iqlint:borrow
 func (m *Machine) handleAck(p *packet.Packet) {
+	if !p.HasAck() {
+		return // malformed: an acknowledgement without its ack block
+	}
 	if m.state == stSynRcvd {
 		// Final leg of the handshake — but only an acknowledgement that
 		// covers our SYNACK's ISN proves the peer actually saw it (return
@@ -438,8 +455,8 @@ func (m *Machine) handleAck(p *packet.Packet) {
 		m.peerTol = tol
 	}
 	now := m.env.Now()
-	if p.TSEcho > 0 {
-		m.sampleRTT(now - p.TSEcho)
+	if p.HasEcho() {
+		m.sampleRTT(packet.TSSince(now, p.TSEcho))
 	}
 
 	wasLimited := m.windowLimited() // demand before this ack frees space
@@ -680,7 +697,12 @@ func (m *Machine) advanceFwd() {
 	}
 	if packet.SeqGT(fwd, m.fwdSeq) {
 		m.fwdSeq = fwd
-		m.fwdPending = true
+		// A forward point at the cumulative ack tells the peer nothing it
+		// has not acknowledged itself, so only one past it goes on the
+		// wire. Announcing every ack's advance put the Fwd field on one
+		// DATA packet per ACK, and that packet's extra four bytes cut the
+		// equal-size runs GSO coalesces.
+		m.fwdPending = packet.SeqGT(fwd, m.sndUna)
 	}
 }
 
@@ -691,9 +713,7 @@ func (m *Machine) emitFwdProbe() {
 		Flags:  packet.FlagFwd,
 		ConnID: m.connID,
 		Seq:    m.sndNxt,
-		Ack:    m.rcvNxt,
 		Fwd:    m.fwdSeq,
-		Wnd:    m.advertiseWnd(),
 		TS:     m.env.Now(),
 	}
 	m.env.Emit(&m.out)
@@ -841,21 +861,26 @@ func (m *Machine) advertiseWnd() uint16 {
 	return wnd - uint16(used)
 }
 
-// sendAck emits a pure acknowledgement; extents selects EACK form when
-// out-of-order data is buffered.
+// sendAck emits a pure acknowledgement echoing no timestamp; extents
+// selects EACK form when out-of-order data is buffered.
 func (m *Machine) sendAck() {
-	m.sendAckEcho(0)
+	m.sendAckEcho(0, false)
 }
 
-// sendAckEcho emits an acknowledgement echoing tsEcho for RTT measurement.
-// An acknowledgement owed by a receive run is settled by this one, which
-// then echoes the owed run's earliest timestamp instead (see BeginRun).
-// The ack is staged in the machine's scratch packet and its EACK list in the
-// machine's scratch slice; both are free for reuse once Emit returns.
-func (m *Machine) sendAckEcho(tsEcho time.Duration) {
+// sendAckEcho emits an acknowledgement, echoing tsEcho for RTT measurement
+// when echo is set. An acknowledgement owed by a receive run is settled by
+// this one, which then echoes the owed run's earliest timestamp instead
+// (see BeginRun). The ack is staged in the machine's scratch packet and its
+// EACK list in the machine's scratch slice; both are free for reuse once
+// Emit returns.
+func (m *Machine) sendAckEcho(tsEcho time.Duration, echo bool) {
 	if m.ackOwed > 0 {
-		tsEcho = m.ackOwedTS
+		tsEcho, echo = m.ackOwedTS, true
 		m.ackOwed = 0
+	}
+	flags := packet.FlagAck
+	if echo {
+		flags |= packet.FlagEcho
 	}
 	typ := packet.ACK
 	m.outEacks = m.appendSortedEacks(m.outEacks[:0], 64)
@@ -864,6 +889,7 @@ func (m *Machine) sendAckEcho(tsEcho time.Duration) {
 	}
 	m.out = packet.Packet{
 		Type:   typ,
+		Flags:  flags,
 		ConnID: m.connID,
 		Seq:    m.sndNxt,
 		Ack:    m.rcvNxt,

@@ -49,7 +49,7 @@ func TestAppendCookieBlockBounds(t *testing.T) {
 }
 
 func TestRetryPacketRoundTrip(t *testing.T) {
-	p := &Packet{Type: RETRY, ConnID: 42, Ack: 101, Payload: bytes.Repeat([]byte{0x5C}, 21)}
+	p := &Packet{Type: RETRY, ConnID: 42, Payload: bytes.Repeat([]byte{0x5C}, 21)}
 	b, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestRetryPacketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Type != RETRY || q.ConnID != 42 || q.Ack != 101 || !bytes.Equal(q.Payload, p.Payload) {
+	if q.Type != RETRY || q.ConnID != 42 || q.HasAck() || !bytes.Equal(q.Payload, p.Payload) {
 		t.Fatalf("round trip mismatch: %+v", q)
 	}
 	if RETRY.String() != "RETRY" {

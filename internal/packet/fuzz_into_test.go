@@ -17,18 +17,20 @@ import (
 // Run with: go test -fuzz=FuzzDecodeInto ./internal/packet
 func FuzzDecodeInto(f *testing.F) {
 	for _, typ := range []Type{SYN, SYNACK, DATA, ACK, EACK, NUL, RST, FIN, FINACK, REPAIR} {
-		p := &Packet{
-			Type: typ, Flags: FlagMarked, ConnID: 7, Seq: 100, Ack: 50,
-			Wnd: 64, TS: time.Second, Payload: []byte("seed"),
-		}
-		if typ == EACK {
-			p.Eacks = []uint32{101, 103}
-		}
-		if typ == REPAIR {
-			p.FragCnt = 8
-		}
-		if b, err := Encode(p); err == nil {
-			f.Add(b)
+		for _, flags := range []uint8{FlagMarked, FlagAck | FlagEcho, FlagFwd | FlagMsgEnd} {
+			p := &Packet{
+				Type: typ, Flags: flags, ConnID: 7, Seq: 100, Ack: 50, Fwd: 99,
+				Wnd: 64, TS: time.Second, TSEcho: time.Second / 2, Payload: []byte("seed"),
+			}
+			if typ == EACK {
+				p.Eacks = []uint32{101, 103}
+			}
+			if typ == REPAIR || typ == DATA && flags&FlagMsgEnd != 0 {
+				p.Frag, p.FragCnt = 1, 8
+			}
+			if b, err := Encode(p); err == nil {
+				f.Add(b)
+			}
 		}
 	}
 	addAckVecSeeds(f)
@@ -40,11 +42,11 @@ func FuzzDecodeInto(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
-	f.Add(make([]byte, 51))
+	f.Add(make([]byte, Overhead))
 
 	prior, err := Encode(&Packet{
 		Type: DATA, Flags: FlagMarked | FlagFwd, ConnID: 9, Seq: 77, Fwd: 80,
-		MsgID: 3, Frag: 1, FragCnt: 2, Payload: []byte("prior-payload-to-overwrite"),
+		MsgID: 76, Frag: 1, FragCnt: 2, Payload: []byte("prior-payload-to-overwrite"),
 	})
 	if err != nil {
 		f.Fatalf("encoding prior packet: %v", err)

@@ -20,7 +20,7 @@ func addAckVecSeeds(f *testing.F) {
 		{0xFFFFFFFE, 0xFFFFFFFF, 0, 1},
 		{5, 6, 7, 5000, 5001},
 	} {
-		p := &Packet{Type: EACK, ConnID: 7, Ack: 10, Eacks: eacks}
+		p := &Packet{Type: EACK, Flags: FlagAck, ConnID: 7, Ack: 10, Eacks: eacks}
 		b, err := Encode(p)
 		if err != nil {
 			continue
@@ -28,9 +28,11 @@ func addAckVecSeeds(f *testing.F) {
 		f.Add(b)
 		// Truncated vector (CRC left stale, as the truncate lane does).
 		f.Add(append([]byte(nil), b[:len(b)-6]...))
-		// Corrupt chunk header: inflate the first chunk's byte count.
+		// Corrupt chunk header: inflate the first chunk's byte count (the
+		// vector follows the fixed header and the ack block; the byte count
+		// follows the chunk count and base).
 		mut := append([]byte(nil), b...)
-		mut[headerLen+6] ^= 0xFF
+		mut[headerLen+ackLen+2+4] ^= 0xFF
 		f.Add(mut)
 	}
 }
@@ -39,18 +41,20 @@ func FuzzDecode(f *testing.F) {
 	// Seed corpus: valid encodings of each packet type plus mutations the
 	// property tests found interesting.
 	for _, typ := range []Type{SYN, SYNACK, DATA, ACK, EACK, NUL, RST, FIN, FINACK, REPAIR} {
-		p := &Packet{
-			Type: typ, Flags: FlagMarked, ConnID: 7, Seq: 100, Ack: 50,
-			Wnd: 64, TS: time.Second, Payload: []byte("seed"),
-		}
-		if typ == EACK {
-			p.Eacks = []uint32{101, 103}
-		}
-		if typ == REPAIR {
-			p.FragCnt = 8
-		}
-		if b, err := Encode(p); err == nil {
-			f.Add(b)
+		for _, flags := range []uint8{FlagMarked, FlagAck | FlagEcho, FlagFwd | FlagMsgEnd} {
+			p := &Packet{
+				Type: typ, Flags: flags, ConnID: 7, Seq: 100, Ack: 50, Fwd: 99,
+				Wnd: 64, TS: time.Second, TSEcho: time.Second / 2, Payload: []byte("seed"),
+			}
+			if typ == EACK {
+				p.Eacks = []uint32{101, 103}
+			}
+			if typ == REPAIR || typ == DATA && flags&FlagMsgEnd != 0 {
+				p.Frag, p.FragCnt = 1, 8
+			}
+			if b, err := Encode(p); err == nil {
+				f.Add(b)
+			}
 		}
 	}
 	addAckVecSeeds(f)
@@ -62,7 +66,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
-	f.Add(make([]byte, 51))
+	f.Add(make([]byte, Overhead))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := Decode(b)

@@ -3,8 +3,10 @@ package packet
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,13 +18,13 @@ import (
 func sample() *Packet {
 	return &Packet{
 		Type:    DATA,
-		Flags:   FlagMarked | FlagMsgEnd,
+		Flags:   FlagMarked | FlagMsgEnd | FlagAck | FlagEcho,
 		ConnID:  0xDEADBEEF,
 		Seq:     1234,
 		Ack:     987,
 		Fwd:     0,
 		Wnd:     64,
-		MsgID:   55,
+		MsgID:   1232,
 		Frag:    2,
 		FragCnt: 3,
 		TS:      1500 * time.Millisecond,
@@ -66,7 +68,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEackRoundTrip(t *testing.T) {
-	p := &Packet{Type: EACK, Ack: 10, Eacks: []uint32{12, 13, 17}}
+	p := &Packet{Type: EACK, Flags: FlagAck, Ack: 10, Eacks: []uint32{12, 13, 17}}
 	b, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func ackVecBytes(t *testing.T, p *Packet) (full, vec []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, b[headerLen : len(b)-len(p.Payload)-4]
+	return b, b[headerLen+ackLen : len(b)-len(p.Payload)-4]
 }
 
 func TestAckVecRoundTrip(t *testing.T) {
@@ -139,7 +141,7 @@ func TestAckVecRoundTrip(t *testing.T) {
 		{100, 101, 102, 103, 104, 2147}, // last member just inside the span cap
 	}
 	for _, eacks := range cases {
-		p := &Packet{Type: EACK, Ack: 10, Eacks: eacks}
+		p := &Packet{Type: EACK, Flags: FlagAck, Ack: 10, Eacks: eacks}
 		b, err := Encode(p)
 		if err != nil {
 			t.Fatalf("%v: %v", eacks, err)
@@ -180,7 +182,7 @@ func TestAckVecCompact(t *testing.T) {
 // the vector must be rejected (by length validation once the CRC is fixed
 // up), never mis-decoded or panicking.
 func TestAckVecTruncated(t *testing.T) {
-	p := &Packet{Type: EACK, Ack: 10, Eacks: []uint32{12, 13, 17, 900}}
+	p := &Packet{Type: EACK, Flags: FlagAck, Ack: 10, Eacks: []uint32{12, 13, 17, 900}}
 	full, vec := ackVecBytes(t, p)
 	body := full[: len(full)-4 : len(full)-4]
 	for cut := 1; cut <= len(vec); cut++ {
@@ -198,7 +200,7 @@ func TestAckVecTruncated(t *testing.T) {
 // cleanly or be rejected — never panic — and an inflated chunk byte count
 // must be caught by the length checks.
 func TestAckVecCorrupt(t *testing.T) {
-	p := &Packet{Type: EACK, Ack: 10, Eacks: []uint32{12, 13, 17, 900}}
+	p := &Packet{Type: EACK, Flags: FlagAck, Ack: 10, Eacks: []uint32{12, 13, 17, 900}}
 	full, vec := ackVecBytes(t, p)
 	start := len(full) - 4 - len(vec)
 	for i := 0; i < len(vec); i++ {
@@ -225,7 +227,7 @@ func TestAckVecCorrupt(t *testing.T) {
 
 func TestRepairRoundTrip(t *testing.T) {
 	p := &Packet{
-		Type: REPAIR, ConnID: 5, Seq: 1000, FragCnt: 8, Ack: 42, Wnd: 16,
+		Type: REPAIR, ConnID: 5, Seq: 1000, FragCnt: 8,
 		TS: time.Second, Payload: []byte("parity-bytes"),
 	}
 	b, err := Encode(p)
@@ -256,12 +258,34 @@ func TestDecodeShort(t *testing.T) {
 
 func TestDecodeBadVersion(t *testing.T) {
 	b, _ := Encode(sample())
-	b[0] = 9
+	b[0] = 9<<4 | byte(DATA)
 	// Recompute the CRC so the version check (not the CRC) rejects.
 	body := b[:len(b)-4]
 	binary.BigEndian.PutUint32(b[len(b)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	if _, err := Decode(b); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version err = %v", err)
+	}
+	// A well-formed version 2 datagram: the 47-byte fixed header (version
+	// byte 2, type, flags, connID, seq, ack, fwd, wnd, msgID, frag,
+	// fragCnt, 8-byte ts and tsEcho, payloadLen), payload, CRC-32C.
+	v2 := []byte{2, byte(DATA), FlagMarked | FlagMsgEnd}
+	for _, v := range []uint32{7, 100, 50, 0} { // connID seq ack fwd
+		v2 = binary.BigEndian.AppendUint32(v2, v)
+	}
+	v2 = binary.BigEndian.AppendUint16(v2, 64)  // wnd
+	v2 = binary.BigEndian.AppendUint32(v2, 100) // msgID
+	v2 = binary.BigEndian.AppendUint16(v2, 0)   // frag
+	v2 = binary.BigEndian.AppendUint16(v2, 1)   // fragCnt
+	v2 = binary.BigEndian.AppendUint64(v2, uint64(time.Second))
+	v2 = binary.BigEndian.AppendUint64(v2, 0)
+	v2 = binary.BigEndian.AppendUint16(v2, 4)
+	v2 = append(v2, "seed"...)
+	if len(v2) != 47+4 {
+		t.Fatalf("v2 datagram is %d bytes before the CRC, want 51", len(v2))
+	}
+	v2 = binary.BigEndian.AppendUint32(v2, crc32.Checksum(v2, crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := Decode(v2); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version 2 datagram: err = %v, want ErrBadVersion", err)
 	}
 }
 
@@ -297,12 +321,15 @@ func TestPacketString(t *testing.T) {
 	}
 }
 
-// Property: arbitrary field combinations round-trip exactly.
+// Property: arbitrary field combinations round-trip exactly once put in
+// canonical form: fields the flags do not announce are zero, FragCnt is 1
+// without fragment fields, timestamps are whole microseconds below the
+// wrap, and MsgID is what the decoder derives.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(typRaw uint8, flags uint8, connID, seq, ack, fwd uint32,
-		wnd uint16, msgID uint32, frag, fragCnt uint16, ts, tsEcho int64,
+		wnd uint16, frag, fragCnt uint16, ts, tsEcho uint32,
 		payload []byte, eacks []uint32) bool {
-		typ := Type(typRaw%10) + 1
+		typ := Type(typRaw%11) + 1
 		if len(payload) > 0xFFFF {
 			payload = payload[:0xFFFF]
 		}
@@ -310,51 +337,210 @@ func TestQuickRoundTrip(t *testing.T) {
 			eacks = eacks[:64]
 		}
 		p := &Packet{
-			Type: typ, Flags: flags &^ FlagHasAttrs, ConnID: connID,
-			Seq: seq, Ack: ack, Fwd: fwd, Wnd: wnd,
-			MsgID: msgID, Frag: frag, FragCnt: fragCnt,
-			TS: time.Duration(ts), TSEcho: time.Duration(tsEcho),
-			Payload: payload,
+			Type: typ, Flags: flags & (FlagMarked | FlagMsgEnd | FlagAck | FlagEcho | FlagFwd),
+			ConnID: connID, Seq: seq, Frag: frag, FragCnt: fragCnt,
+			TS: time.Duration(ts) * time.Microsecond, Payload: payload,
 		}
+		canonical(p, ack, wnd, fwd, time.Duration(tsEcho)*time.Microsecond)
 		if typ == EACK {
 			p.Eacks = eacks
 		}
 		b, err := Encode(p)
-		if err != nil {
+		if err != nil || len(b) != p.WireSize() {
 			return false
 		}
 		got, err := Decode(b)
 		if err != nil {
 			return false
 		}
-		if got.Type != p.Type || got.Flags != p.Flags || got.ConnID != p.ConnID ||
-			got.Seq != p.Seq || got.Ack != p.Ack || got.Fwd != p.Fwd ||
-			got.Wnd != p.Wnd || got.MsgID != p.MsgID ||
-			got.TS != p.TS || got.TSEcho != p.TSEcho {
-			return false
-		}
-		if len(got.Payload) != len(p.Payload) {
-			return false
-		}
-		for i := range payload {
-			if got.Payload[i] != payload[i] {
-				return false
-			}
-		}
-		if typ == EACK {
-			if len(got.Eacks) != len(p.Eacks) {
-				return false
-			}
-			for i := range p.Eacks {
-				if got.Eacks[i] != p.Eacks[i] {
-					return false
-				}
-			}
-		}
-		return true
+		return samePacket(got, p) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// canonical fills p's flag-announced fields from the given values and puts
+// the rest in the form the decoder produces.
+func canonical(p *Packet, ack uint32, wnd uint16, fwd uint32, tsEcho time.Duration) {
+	if p.HasAck() {
+		p.Ack, p.Wnd = ack, wnd
+	}
+	if p.HasEcho() {
+		p.TSEcho = tsEcho
+	}
+	if p.HasFwd() {
+		p.Fwd = fwd
+	}
+	if p.Frag == 0 && p.FragCnt <= 1 {
+		p.FragCnt = 1
+	} else {
+		p.Flags |= FlagFrag
+	}
+	if p.Attrs.Len() > 0 {
+		p.Flags |= FlagHasAttrs
+	}
+	if p.Type == DATA {
+		p.MsgID = p.Seq - uint32(p.Frag)
+	}
+	if len(p.Payload) == 0 {
+		p.Payload = nil
+	}
+}
+
+// samePacket describes the first field where got differs from want ("" when
+// they are equal).
+func samePacket(got, want *Packet) string {
+	if !got.Attrs.Equal(want.Attrs) {
+		return fmt.Sprintf("attrs %v, want %v", got.Attrs, want.Attrs)
+	}
+	g, w := *got, *want
+	g.Attrs, w.Attrs = nil, nil
+	if len(g.Eacks) == 0 && len(w.Eacks) == 0 {
+		g.Eacks, w.Eacks = nil, nil
+	}
+	if !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("\n got %+v\nwant %+v", g, w)
+	}
+	return ""
+}
+
+// TestRoundTripTable encodes every packet type with every combination of
+// the optional header fields — ack block, timestamp echo, forward point,
+// fragment fields, attribute block — with and without a payload, and checks
+// that decoding returns the packet unchanged and WireSize is the exact
+// encoded length.
+func TestRoundTripTable(t *testing.T) {
+	const (
+		optAck = 1 << iota
+		optEcho
+		optFwd
+		optFrag
+		optAttrs
+		optPayload
+		optAll
+	)
+	for typ := SYN; typ <= RETRY; typ++ {
+		for opts := 0; opts < optAll; opts++ {
+			p := &Packet{
+				Type: typ, Flags: FlagMarked, ConnID: 0xC0FFEE, Seq: 0xFFFFFFF0,
+				TS: 0x89ABCDEF * time.Microsecond,
+			}
+			if opts&optAck != 0 {
+				p.Flags |= FlagAck
+			}
+			if opts&optEcho != 0 {
+				p.Flags |= FlagEcho
+			}
+			if opts&optFwd != 0 {
+				p.Flags |= FlagFwd
+			}
+			if opts&optFrag != 0 {
+				p.Frag, p.FragCnt = 3, 12
+				p.Flags |= FlagMsgEnd
+			}
+			if opts&optAttrs != 0 {
+				p.Attrs = attr.NewList(attr.Attr{Name: attr.AdaptCond, Value: attr.Float(0.25)})
+			}
+			if opts&optPayload != 0 {
+				p.Payload = []byte("payload bytes")
+			}
+			if typ == EACK {
+				p.Eacks = []uint32{0xFFFFFFF2, 0xFFFFFFF4, 3}
+			}
+			canonical(p, 0xFFFFFFF1, 512, 0xFFFFFFF3, 0xFFFFFFFF*time.Microsecond)
+			name := fmt.Sprintf("%v/opts=%06b", typ, opts)
+			b, err := Encode(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(b) != p.WireSize() {
+				t.Fatalf("%s: WireSize = %d, encoded %d", name, p.WireSize(), len(b))
+			}
+			got, err := Decode(b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if d := samePacket(got, p); d != "" {
+				t.Fatalf("%s: %s", name, d)
+			}
+		}
+	}
+}
+
+// TestHeaderSizes pins the version 3 overheads (header plus checksum) of
+// the packets that dominate the wire.
+func TestHeaderSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *Packet
+		want int
+	}{
+		{"single-fragment DATA", &Packet{Type: DATA, Flags: FlagMarked | FlagMsgEnd, FragCnt: 1}, 18},
+		{"multi-fragment DATA", &Packet{Type: DATA, Flags: FlagMarked, Frag: 3, FragCnt: 12}, 22},
+		{"ACK with echo", &Packet{Type: ACK, Flags: FlagAck | FlagEcho}, 28},
+		{"RETRY", &Packet{Type: RETRY}, 18},
+	} {
+		if got := c.p.WireSize(); got != c.want {
+			t.Errorf("%s: overhead %d bytes, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestDecodeNonCanonical: header fields the encoder never announces without
+// content are rejected, so every accepted datagram re-encodes identically.
+func TestDecodeNonCanonical(t *testing.T) {
+	reframe := func(body []byte) []byte {
+		return binary.BigEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	fixed := func(flags uint8) []byte {
+		b := []byte{Version<<4 | byte(DATA), flags}
+		return append(b, make([]byte, 12)...)
+	}
+	for name, b := range map[string][]byte{
+		"default fragment fields": reframe(append(fixed(FlagFrag), 0, 0, 0, 1)),
+		"empty attribute block":   reframe(append(fixed(FlagHasAttrs), 0)),
+		"unknown flag":            reframe(fixed(0x80)),
+		"truncated ack block":     reframe(append(fixed(FlagAck), 0, 0, 0)),
+	} {
+		if _, err := Decode(b); err == nil {
+			t.Errorf("%s: decoded, want rejection", name)
+		}
+	}
+}
+
+// TestTimestampWrap: wire timestamps are 32-bit microseconds. TSSince and
+// TSUnwrap must give the right answers when the clock crosses the wrap
+// between the two instants.
+func TestTimestampWrap(t *testing.T) {
+	const wrap = time.Duration(1<<32) * time.Microsecond
+	sent := wrap - 3*time.Millisecond
+	p := &Packet{Type: DATA, TS: sent, Flags: FlagEcho, TSEcho: sent - time.Millisecond}
+	b, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.TS != sent {
+		t.Fatalf("TS = %v, want %v", q.TS, sent)
+	}
+	now := wrap + 17*time.Millisecond // past the wrap
+	if got := TSSince(now, q.TS); got != 20*time.Millisecond {
+		t.Fatalf("TSSince across the wrap = %v, want 20ms", got)
+	}
+	// A second period later the wire value is the same; unwrapping against
+	// the local clock recovers the right period.
+	p.TS = sent + wrap
+	b, _ = Encode(p)
+	q, _ = Decode(b)
+	if got := TSUnwrap(q.TS, now+wrap); got != sent+wrap {
+		t.Fatalf("TSUnwrap = %v, want %v", got, sent+wrap)
+	}
+	if got := TSUnwrap(q.TS, sent+wrap-time.Second); got != sent+wrap {
+		t.Fatalf("TSUnwrap with ref before ts = %v, want %v", got, sent+wrap)
 	}
 }
 

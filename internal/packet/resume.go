@@ -40,7 +40,7 @@ func PeekConnID(b []byte) (id uint32, ok bool) {
 	if len(b) < headerLen {
 		return 0, false
 	}
-	return binary.BigEndian.Uint32(b[3:]), true
+	return binary.BigEndian.Uint32(b[2:]), true
 }
 
 // PeekType extracts the packet type from an encoded datagram, unverified
@@ -50,5 +50,5 @@ func PeekType(b []byte) (Type, bool) {
 	if len(b) < headerLen {
 		return 0, false
 	}
-	return Type(b[1]), true
+	return Type(b[0] & 0x0F), true
 }

@@ -66,14 +66,14 @@ func TestRouteDataAckAllocs(t *testing.T) {
 		}
 	}
 
-	route(&packet.Packet{Type: packet.SYN, ConnID: id, Seq: 100, Wnd: 64})
+	route(rawSyn(id, 100, nil))
 	if _, typ := sent(); typ != packet.SYNACK {
 		t.Fatalf("SYN answered with %v, want SYNACK", typ)
 	}
 	serverISN := out.Seq
 	c := <-srv.accept
 	t.Cleanup(c.Abort)
-	route(&packet.Packet{Type: packet.ACK, ConnID: id, Seq: 101, Ack: serverISN + 1, Wnd: 64})
+	route(&packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, ConnID: id, Seq: 101, Ack: serverISN + 1, Wnd: 64})
 	// A SYNACK retransmission the wheel fired before the handshake ACK
 	// landed would otherwise be counted against the first run.
 	sent()

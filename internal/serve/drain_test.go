@@ -104,9 +104,9 @@ func TestDrainingRefusesSyn(t *testing.T) {
 	// Establish a connection whose peer will ignore the FIN, so the drain
 	// occupies the full timeout and leaves a window to probe.
 	mute := newRawClient(t, srv.Addr())
-	mute.send(&packet.Packet{Type: packet.SYN, ConnID: 44, Seq: 1, Wnd: 64})
+	mute.send(rawSyn(44, 1, nil))
 	synack := mute.waitFor(packet.SYNACK, 5*time.Second)
-	mute.send(&packet.Packet{Type: packet.ACK, ConnID: 44, Seq: 2, Ack: synack.Seq + 1, Wnd: 64})
+	mute.send(&packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, ConnID: 44, Seq: 2, Ack: synack.Seq + 1, Wnd: 64})
 	sc, err := srv.Accept(5 * time.Second)
 	if err != nil {
 		t.Fatalf("Accept: %v", err)
@@ -115,7 +115,7 @@ func TestDrainingRefusesSyn(t *testing.T) {
 	// the drain starts; a still-handshaking conn would abort instantly and
 	// close the window this test needs.
 	mute.send(&packet.Packet{
-		Type: packet.DATA, ConnID: 44, Flags: packet.FlagMarked | packet.FlagMsgEnd,
+		Type: packet.DATA, ConnID: 44, Flags: packet.FlagMarked | packet.FlagMsgEnd | packet.FlagAck,
 		Seq: 2, Ack: synack.Seq + 1, Wnd: 64, MsgID: 1, FragCnt: 1,
 		Payload: []byte("establish"),
 	})
@@ -130,7 +130,7 @@ func TestDrainingRefusesSyn(t *testing.T) {
 	}
 
 	c := newRawClient(t, srv.Addr())
-	c.send(&packet.Packet{Type: packet.SYN, ConnID: 55, Seq: 1, Wnd: 64})
+	c.send(rawSyn(55, 1, nil))
 	rst := c.waitFor(packet.RST, 5*time.Second)
 	if rst.ConnID != 55 {
 		t.Fatalf("RST ConnID = %d, want 55", rst.ConnID)

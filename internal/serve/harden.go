@@ -126,8 +126,10 @@ func (srv *Server) cookieMode(synRate int64) bool {
 // fresh cookie over (source address, proposed ConnID). No connection state
 // is created; the initiator echoes the cookie in its next SYN (the machine
 // handles this transparently, costing legitimate dialers one round trip).
-// A RETRY is barely larger than the minimal SYN that elicits it, so the
-// reflected amplitude stays well under the 3x budget by construction.
+// A RETRY is the 14-byte fixed header, the cookie and the checksum (39
+// bytes), and route answers no SYN smaller than packet.MinSynSize (40), so
+// the reflected amplitude stays below 1x — well under the 3x budget — by
+// construction. TestRetryAmplification pins the ratio.
 //
 //iqlint:borrow
 func (sh *shard) sendRetry(p *packet.Packet, raddr *net.UDPAddr, reason string) {
@@ -136,7 +138,6 @@ func (sh *shard) sendRetry(p *packet.Packet, raddr *net.UDPAddr, reason string) 
 	b, err := packet.Encode(&packet.Packet{
 		Type:    packet.RETRY,
 		ConnID:  p.ConnID,
-		Ack:     p.Seq + 1,
 		Payload: cookie,
 	})
 	if err == nil {

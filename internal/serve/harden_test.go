@@ -54,7 +54,7 @@ func TestSynFloodStateless(t *testing.T) {
 	flood := newRawClient(t, srv.Addr())
 	const syns = 500
 	for i := 0; i < syns; i++ {
-		flood.send(&packet.Packet{Type: packet.SYN, ConnID: uint32(1000 + i), Seq: 1, Wnd: 64})
+		flood.send(rawSyn(uint32(1000+i), 1, nil))
 	}
 
 	cc, err := udpwire.Dial(srv.Addr().String(), testConfig(), 5*time.Second)
@@ -87,6 +87,42 @@ func TestSynFloodStateless(t *testing.T) {
 	}
 }
 
+// TestRetryAmplification pins the RETRY reflection margin: a SYN below
+// packet.MinSynSize is dropped unanswered (no RETRY, no cookie mint), and
+// the RETRY answering the smallest SYN the engine does answer is at most
+// 1.5 times that SYN's size.
+func TestRetryAmplification(t *testing.T) {
+	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second, AlwaysValidate: true})
+	c := newRawClient(t, srv.Addr())
+	// A bare SYN is the fixed header, the ack block and the checksum; zero
+	// padding in the payload (neither a cookie block nor a resume token)
+	// sizes it to either side of the floor.
+	syn := func(connID uint32, size int) *packet.Packet {
+		p := &packet.Packet{Type: packet.SYN, Flags: packet.FlagAck, ConnID: connID, Seq: 1, Wnd: 64}
+		p.Payload = make([]byte, size-p.WireSize())
+		return p
+	}
+
+	c.send(syn(61, packet.MinSynSize-1))
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().ShortSyns == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.ShortSyns != 1 || st.RetrySent != 0 {
+		t.Fatalf("short SYN: ShortSyns=%d RetrySent=%d, want 1 and 0", st.ShortSyns, st.RetrySent)
+	}
+
+	smallest := syn(62, packet.MinSynSize)
+	c.send(smallest)
+	retry := c.waitFor(packet.RETRY, 5*time.Second)
+	ratio := float64(retry.WireSize()) / float64(smallest.WireSize())
+	t.Logf("RETRY %d bytes for a %d-byte SYN: %.2fx", retry.WireSize(), smallest.WireSize(), ratio)
+	if ratio > 1.5 {
+		t.Fatalf("RETRY %d bytes answers a %d-byte SYN: %.2fx, want ≤ 1.5x",
+			retry.WireSize(), smallest.WireSize(), ratio)
+	}
+}
+
 // TestCookieReplayRejected: a cookie binds (source address, ConnID). Minted
 // for one client, it must not admit a different source address, nor the same
 // source under a different ConnID.
@@ -94,19 +130,17 @@ func TestCookieReplayRejected(t *testing.T) {
 	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second, AlwaysValidate: true})
 
 	victim := newRawClient(t, srv.Addr())
-	victim.send(&packet.Packet{Type: packet.SYN, ConnID: 21, Seq: 1, Wnd: 64})
+	victim.send(rawSyn(21, 1, nil))
 	retry := victim.waitFor(packet.RETRY, 5*time.Second)
 	cookie := append([]byte(nil), retry.Payload...)
 
 	// Replay from a different source address (new socket, new port).
 	thief := newRawClient(t, srv.Addr())
-	thief.send(&packet.Packet{Type: packet.SYN, ConnID: 21, Seq: 1, Wnd: 64,
-		Payload: packet.AppendCookieBlock(nil, cookie)})
+	thief.send(rawSyn(21, 1, packet.AppendCookieBlock(nil, cookie)))
 	thief.waitFor(packet.RETRY, 5*time.Second)
 
 	// Replay from the right address but a different ConnID.
-	victim.send(&packet.Packet{Type: packet.SYN, ConnID: 22, Seq: 1, Wnd: 64,
-		Payload: packet.AppendCookieBlock(nil, cookie)})
+	victim.send(rawSyn(22, 1, packet.AppendCookieBlock(nil, cookie)))
 	victim.waitFor(packet.RETRY, 5*time.Second)
 
 	st := srv.Stats()
@@ -118,8 +152,7 @@ func TestCookieReplayRejected(t *testing.T) {
 	}
 
 	// The honest echo still works.
-	victim.send(&packet.Packet{Type: packet.SYN, ConnID: 21, Seq: 1, Wnd: 64,
-		Payload: packet.AppendCookieBlock(nil, cookie)})
+	victim.send(rawSyn(21, 1, packet.AppendCookieBlock(nil, cookie)))
 	victim.waitFor(packet.SYNACK, 5*time.Second)
 }
 
@@ -131,7 +164,7 @@ func TestAmpGate(t *testing.T) {
 	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second})
 
 	c := newRawClient(t, srv.Addr())
-	syn := &packet.Packet{Type: packet.SYN, ConnID: 31, Seq: 1, Wnd: 64}
+	syn := rawSyn(31, 1, nil)
 	sent := syn.WireSize()
 	c.send(syn)
 
@@ -209,7 +242,7 @@ func FuzzServerDemux(f *testing.F) {
 		f.Fatalf("resolve: %v", err)
 	}
 
-	if b, err := packet.Encode(&packet.Packet{Type: packet.SYN, ConnID: 7, Seq: 1, Wnd: 64}); err == nil {
+	if b, err := packet.Encode(rawSyn(7, 1, nil)); err == nil {
 		f.Add(b)
 		// Version-flipped and truncated variants of a well-formed SYN.
 		flipped := append([]byte(nil), b...)

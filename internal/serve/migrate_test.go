@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cercs/iqrudp/internal/attr"
 	"github.com/cercs/iqrudp/internal/packet"
 )
 
@@ -29,6 +30,17 @@ func newRawClient(t *testing.T, dst net.Addr) *rawClient {
 		t.Fatalf("resolve %v: %v", dst, err)
 	}
 	return &rawClient{t: t, sock: sock, dst: ua}
+}
+
+// rawSyn builds a SYN the way a dialing machine does — the ack block with
+// its receive window, the loss-tolerance handshake attribute — so it clears
+// packet.MinSynSize; payload is the optional cookie block or resume token.
+func rawSyn(connID, seq uint32, payload []byte) *packet.Packet {
+	return &packet.Packet{
+		Type: packet.SYN, Flags: packet.FlagAck, ConnID: connID, Seq: seq, Wnd: 64,
+		Attrs:   attr.NewList(attr.Attr{Name: attr.LossTolerance, Value: attr.Float(0)}),
+		Payload: payload,
+	}
 }
 
 func (rc *rawClient) send(p *packet.Packet) {
@@ -86,7 +98,7 @@ func TestPeerMigration(t *testing.T) {
 
 	// Handshake from the first source socket.
 	c1 := newRawClient(t, srv.Addr())
-	c1.send(&packet.Packet{Type: packet.SYN, ConnID: connID, Seq: 100, Wnd: 64})
+	c1.send(rawSyn(connID, 100, nil))
 	synack := c1.waitFor(packet.SYNACK, 5*time.Second)
 
 	sc, err := srv.Accept(5 * time.Second)
@@ -94,13 +106,13 @@ func TestPeerMigration(t *testing.T) {
 		t.Fatalf("Accept: %v", err)
 	}
 	c1.send(&packet.Packet{
-		Type: packet.ACK, ConnID: connID,
+		Type: packet.ACK, ConnID: connID, Flags: packet.FlagAck,
 		Seq: 101, Ack: synack.Seq + 1, Wnd: 64,
 	})
 
 	// First DATA from the original address.
 	c1.send(&packet.Packet{
-		Type: packet.DATA, ConnID: connID, Flags: packet.FlagMarked | packet.FlagMsgEnd,
+		Type: packet.DATA, ConnID: connID, Flags: packet.FlagMarked | packet.FlagMsgEnd | packet.FlagAck,
 		Seq: 101, Ack: synack.Seq + 1, Wnd: 64, MsgID: 1, FragCnt: 1,
 		Payload: []byte("before rebind"),
 	})
@@ -118,7 +130,7 @@ func TestPeerMigration(t *testing.T) {
 	// the same connection and migrate its peer address.
 	c2 := newRawClient(t, srv.Addr())
 	c2.send(&packet.Packet{
-		Type: packet.DATA, ConnID: connID, Flags: packet.FlagMarked | packet.FlagMsgEnd,
+		Type: packet.DATA, ConnID: connID, Flags: packet.FlagMarked | packet.FlagMsgEnd | packet.FlagAck,
 		Seq: 102, Ack: synack.Seq + 1, Wnd: 64, MsgID: 2, FragCnt: 1,
 		Payload: []byte("after rebind"),
 	})
@@ -151,7 +163,7 @@ func TestSynCollisionRefused(t *testing.T) {
 	srv := startServer(t, Options{Shards: 2, DrainTimeout: time.Second})
 
 	c1 := newRawClient(t, srv.Addr())
-	c1.send(&packet.Packet{Type: packet.SYN, ConnID: connID, Seq: 10, Wnd: 64})
+	c1.send(rawSyn(connID, 10, nil))
 	c1.waitFor(packet.SYNACK, 5*time.Second)
 	sc, err := srv.Accept(5 * time.Second)
 	if err != nil {
@@ -159,7 +171,7 @@ func TestSynCollisionRefused(t *testing.T) {
 	}
 
 	c2 := newRawClient(t, srv.Addr())
-	c2.send(&packet.Packet{Type: packet.SYN, ConnID: connID, Seq: 500, Wnd: 64})
+	c2.send(rawSyn(connID, 500, nil))
 	rst := c2.waitFor(packet.RST, 5*time.Second)
 	if rst.ConnID != connID {
 		t.Fatalf("RST ConnID = %d, want %d", rst.ConnID, connID)
@@ -178,7 +190,7 @@ func TestZombieEviction(t *testing.T) {
 	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second})
 
 	c := newRawClient(t, srv.Addr())
-	c.send(&packet.Packet{Type: packet.SYN, ConnID: 11, Seq: 10, Wnd: 64})
+	c.send(rawSyn(11, 10, nil))
 	c.waitFor(packet.SYNACK, 5*time.Second)
 	old, err := srv.Accept(5 * time.Second)
 	if err != nil {
@@ -189,7 +201,7 @@ func TestZombieEviction(t *testing.T) {
 	// is destructive, so the engine answers the cookie-less SYN with a
 	// RETRY challenge instead of evicting; nothing changes until the
 	// client proves it owns the source address by echoing the cookie.
-	c.send(&packet.Packet{Type: packet.SYN, ConnID: 12, Seq: 10, Wnd: 64})
+	c.send(rawSyn(12, 10, nil))
 	retry := c.waitFor(packet.RETRY, 5*time.Second)
 	if len(retry.Payload) == 0 {
 		t.Fatal("RETRY carried no cookie")
@@ -200,8 +212,7 @@ func TestZombieEviction(t *testing.T) {
 	if got := srv.Stats().EvictDenied; got != 1 {
 		t.Fatalf("evict denied = %d, want 1", got)
 	}
-	c.send(&packet.Packet{Type: packet.SYN, ConnID: 12, Seq: 10, Wnd: 64,
-		Payload: packet.AppendCookieBlock(nil, retry.Payload)})
+	c.send(rawSyn(12, 10, packet.AppendCookieBlock(nil, retry.Payload)))
 	c.waitFor(packet.SYNACK, 5*time.Second)
 	fresh, err := srv.Accept(5 * time.Second)
 	if err != nil {

@@ -128,6 +128,17 @@ func TestRunCoalescesAcks(t *testing.T) {
 	if n := sc.DroppedDeliveries(); n != 0 {
 		t.Errorf("sink dropped %d deliveries", n)
 	}
+	// Wire cost per message, counted at the sink's socket: every 64 B
+	// message costs its DATA packet plus a sixteenth of an ACK, so with the
+	// 18-byte DATA and 28-byte ACK overheads of wire v3 it is 82 + 28/16
+	// ≈ 84 bytes (the 51-byte v2 header cost 118).
+	delivered := sc.Metrics().DeliveredMsgs
+	wire := after.RxBytes - before.RxBytes + after.TxBytes - before.TxBytes
+	perMsg := float64(wire) / float64(delivered)
+	t.Logf("wire bytes per delivered message: %.1f (%d bytes, %d messages)", perMsg, wire, delivered)
+	if delivered == 0 || perMsg > 86 {
+		t.Errorf("%.1f wire bytes per delivered 64 B message, want ≤ 86", perMsg)
+	}
 	closeGracefully(t, 0, c)
 }
 

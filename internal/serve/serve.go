@@ -196,6 +196,7 @@ type Server struct {
 	synLimiter    *guard.PrefixLimiter // per-source-prefix SYN damping
 	synMeter      rateMeter            // engine-wide SYN rate, cookie-mode trigger
 	retrySent     atomic.Uint64        // stateless RETRY challenges emitted
+	shortSyns     atomic.Uint64        // SYNs below packet.MinSynSize, dropped unanswered
 	cookieRejects atomic.Uint64        // presented cookies that failed verification
 	evictDenied   atomic.Uint64        // evictions refused for lack of path proof
 	synLimited    atomic.Uint64        // SYNs challenged by the prefix limiter
@@ -462,6 +463,7 @@ type Stats struct {
 
 	// Survivability counters (see harden.go).
 	RetrySent     uint64 // stateless RETRY challenges emitted
+	ShortSyns     uint64 // SYNs below packet.MinSynSize, dropped unanswered
 	CookieRejects uint64 // presented address-validation cookies that failed
 	EvictDenied   uint64 // evictions refused for lack of path proof
 	SynLimited    uint64 // SYNs challenged by the per-prefix limiter
@@ -485,6 +487,7 @@ func (srv *Server) Stats() Stats {
 		Offload:     srv.offload,
 
 		RetrySent:     srv.retrySent.Load(),
+		ShortSyns:     srv.shortSyns.Load(),
 		CookieRejects: srv.cookieRejects.Load(),
 		EvictDenied:   srv.evictDenied.Load(),
 		SynLimited:    srv.synLimited.Load(),

@@ -205,6 +205,13 @@ func (sh *shard) promoteGate(id uint32, g *ampGate) {
 //
 //iqlint:borrow
 func (sh *shard) route(p *packet.Packet, from netip.AddrPort) {
+	if p.Type == packet.SYN && p.WireSize() < packet.MinSynSize {
+		// Below the floor no SYN is answered — no RETRY, no cookie mint, no
+		// SYNACK, no RST — so a spoofed minimal SYN reflects nothing larger
+		// than itself (see sendRetry).
+		sh.srv.shortSyns.Add(1)
+		return
+	}
 	sh.mu.RLock()
 	e, ok := sh.byID[p.ConnID]
 	sh.mu.RUnlock()
@@ -435,6 +442,7 @@ func (sh *shard) refuse(p *packet.Packet, to netip.AddrPort) {
 	}
 	rst := &packet.Packet{
 		Type:   packet.RST,
+		Flags:  packet.FlagAck,
 		ConnID: p.ConnID,
 		Seq:    p.Ack,
 		Ack:    p.Seq + 1,

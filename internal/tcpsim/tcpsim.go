@@ -117,7 +117,6 @@ type Machine struct {
 	sndNxt, sndUna uint32
 	pending        []*seg
 	flight         []*seg
-	nextMsgID      uint32
 	peerWnd        uint16
 
 	dupAcks   int
@@ -202,11 +201,21 @@ func (m *Machine) Close() {
 	}
 }
 
-func (m *Machine) sendSynAck(tsEcho time.Duration) {
+// sendSynAck answers a SYN, echoing its timestamp when echo is set.
+func (m *Machine) sendSynAck(tsEcho time.Duration, echo bool) {
 	m.env.Emit(&packet.Packet{
-		Type: packet.SYNACK, ConnID: m.connID, Seq: 1, Ack: m.rcvNxt,
-		Wnd: m.cfg.RecvWindow, TS: m.env.Now(), TSEcho: tsEcho,
+		Type: packet.SYNACK, Flags: ackFlags(echo), ConnID: m.connID, Seq: 1,
+		Ack: m.rcvNxt, Wnd: m.cfg.RecvWindow, TS: m.env.Now(), TSEcho: tsEcho,
 	})
+}
+
+// ackFlags announces the ack block (ack and window), plus the timestamp
+// echo when echo is set: the fields the model reads on SYNACK and ACK.
+func ackFlags(echo bool) uint8 {
+	if echo {
+		return packet.FlagAck | packet.FlagEcho
+	}
+	return packet.FlagAck
 }
 
 // armSynAckRetry re-sends the SYNACK until the initiator's ACK or first DATA
@@ -217,14 +226,14 @@ func (m *Machine) armSynAckRetry() {
 	}
 	m.connTimer = m.env.After(m.rto, func() {
 		if m.state == stSynRcvd {
-			m.sendSynAck(0)
+			m.sendSynAck(0, false)
 			m.armSynAckRetry()
 		}
 	})
 }
 
 func (m *Machine) sendSyn() {
-	m.env.Emit(&packet.Packet{Type: packet.SYN, ConnID: m.connID, Seq: 1, Wnd: m.cfg.RecvWindow, TS: m.env.Now()})
+	m.env.Emit(&packet.Packet{Type: packet.SYN, Flags: packet.FlagAck, ConnID: m.connID, Seq: 1, Wnd: m.cfg.RecvWindow, TS: m.env.Now()})
 	m.connTimer = m.env.After(m.rto, func() {
 		if m.state == stSynSent {
 			m.sendSyn()
@@ -242,8 +251,7 @@ func (m *Machine) Send(data []byte, marked bool) error {
 	if len(data) == 0 {
 		return errors.New("tcpsim: empty message")
 	}
-	msgID := m.nextMsgID
-	m.nextMsgID++
+	msgID := m.sndNxt // the first fragment's seq, as the decoder derives it
 	mss := m.cfg.MSS
 	frags := (len(data) + mss - 1) / mss
 	for i := 0; i < frags; i++ {
@@ -377,9 +385,9 @@ func (m *Machine) transmit(sg *seg) {
 	if sg.end {
 		flags |= packet.FlagMsgEnd
 	}
+	// The model reads no ack fields on DATA, so none are sent.
 	m.env.Emit(&packet.Packet{
-		Type: packet.DATA, Flags: flags, ConnID: m.connID,
-		Seq: sg.seq, Ack: m.rcvNxt, Wnd: m.advertiseWnd(),
+		Type: packet.DATA, Flags: flags, ConnID: m.connID, Seq: sg.seq,
 		MsgID: sg.msgID, Frag: sg.frag, FragCnt: sg.fragCnt,
 		TS: sg.sentAt, Payload: sg.payload,
 	})
@@ -405,20 +413,20 @@ func (m *Machine) HandlePacket(p *packet.Packet) {
 			m.connID = p.ConnID
 			m.peerWnd = p.Wnd
 			m.rcvNxt = p.Seq + 1
-			m.sendSynAck(p.TS)
+			m.sendSynAck(p.TS, true)
 			m.armSynAckRetry()
 		}
 	case packet.SYNACK:
 		if m.state == stSynSent {
 			m.peerWnd = p.Wnd
 			m.rcvNxt = p.Seq + 1
-			if p.TSEcho > 0 {
-				m.sampleRTT(m.env.Now() - p.TSEcho)
+			if p.HasEcho() {
+				m.sampleRTT(packet.TSSince(m.env.Now(), p.TSEcho))
 			}
 			m.establish()
-			m.sendAck(0)
+			m.sendAck(0, false)
 		} else if m.state == stEstablished {
-			m.sendAck(0)
+			m.sendAck(0, false)
 		}
 	case packet.DATA:
 		if m.state == stSynRcvd {
@@ -471,7 +479,7 @@ func (m *Machine) handleData(p *packet.Packet) {
 			}
 		}
 	}
-	m.sendAck(p.TS)
+	m.sendAck(p.TS, true)
 }
 
 func (m *Machine) accept(p *packet.Packet) {
@@ -479,7 +487,7 @@ func (m *Machine) accept(p *packet.Packet) {
 	m.reasm.add(p)
 }
 
-func (m *Machine) sendAck(tsEcho time.Duration) {
+func (m *Machine) sendAck(tsEcho time.Duration, echo bool) {
 	typ := packet.ACK
 	var eacks []uint32
 	if len(m.ooo) > 0 {
@@ -493,7 +501,7 @@ func (m *Machine) sendAck(tsEcho time.Duration) {
 		}
 	}
 	m.env.Emit(&packet.Packet{
-		Type: typ, ConnID: m.connID, Seq: m.sndNxt, Ack: m.rcvNxt,
+		Type: typ, Flags: ackFlags(echo), ConnID: m.connID, Seq: m.sndNxt, Ack: m.rcvNxt,
 		Wnd: m.advertiseWnd(), TS: m.env.Now(), TSEcho: tsEcho, Eacks: eacks,
 	})
 }
@@ -503,8 +511,8 @@ func (m *Machine) handleAck(p *packet.Packet) {
 		return
 	}
 	m.peerWnd = p.Wnd
-	if p.TSEcho > 0 {
-		m.sampleRTT(m.env.Now() - p.TSEcho)
+	if p.HasEcho() {
+		m.sampleRTT(packet.TSSince(m.env.Now(), p.TSEcho))
 	}
 	// SACK extents (RFC 2018): mark segments received out of order.
 	newSacked := 0
@@ -703,6 +711,7 @@ type reassembly struct {
 }
 
 func (r *reassembly) add(p *packet.Packet) {
+	ts := packet.TSUnwrap(p.TS, r.m.env.Now())
 	if !r.active || r.cur != p.MsgID {
 		r.cur = p.MsgID
 		r.active = true
@@ -712,15 +721,15 @@ func (r *reassembly) add(p *packet.Packet) {
 		}
 		r.frags = make([][]byte, r.fragCnt)
 		r.got = 0
-		r.sentAt = 0
+		r.sentAt = ts
 	}
 	idx := int(p.Frag)
 	if idx < r.fragCnt && r.frags[idx] == nil {
 		r.frags[idx] = p.Payload
 		r.got++
 	}
-	if r.sentAt == 0 || p.TS < r.sentAt {
-		r.sentAt = p.TS
+	if ts < r.sentAt {
+		r.sentAt = ts
 	}
 	if r.got == r.fragCnt {
 		var data []byte

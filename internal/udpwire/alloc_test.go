@@ -60,7 +60,7 @@ func TestDialedHandleBatchAllocs(t *testing.T) {
 		}
 		msgs[i].B = wire[i]
 	}
-	encode(0, &packet.Packet{Type: packet.SYNACK, ConnID: syn.ConnID, Seq: serverISN, Ack: syn.Seq + 1, Wnd: 64})
+	encode(0, &packet.Packet{Type: packet.SYNACK, Flags: packet.FlagAck, ConnID: syn.ConnID, Seq: serverISN, Ack: syn.Seq + 1, Wnd: 64})
 	c.HandleRun(msgs[:1], &p)
 	if !c.Handshaked() {
 		t.Fatal("SYNACK did not establish the connection")

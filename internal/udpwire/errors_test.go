@@ -66,7 +66,7 @@ func TestDialRefusedTyped(t *testing.T) {
 				continue
 			}
 			rst := &packet.Packet{
-				Type: packet.RST, ConnID: p.ConnID, Seq: p.Ack, Ack: p.Seq + 1,
+				Type: packet.RST, Flags: packet.FlagAck, ConnID: p.ConnID, Seq: p.Ack, Ack: p.Seq + 1,
 			}
 			if b, err := packet.Encode(rst); err == nil {
 				sock.WriteToUDP(b, ra) //iqlint:ignore errdrop -- test responder, best effort
@@ -228,7 +228,7 @@ func TestCarryoverPayloadsIntact(t *testing.T) {
 				continue
 			}
 			synack := &packet.Packet{
-				Type: packet.SYNACK, ConnID: p.ConnID,
+				Type: packet.SYNACK, Flags: packet.FlagAck, ConnID: p.ConnID,
 				Seq: 100, Ack: p.Seq + 1, Wnd: 512,
 			}
 			if b, err := packet.Encode(synack); err == nil {
