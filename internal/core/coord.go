@@ -171,7 +171,7 @@ func (c *coordinator) traceDecision(caseNo int, rep *AdaptationReport, factor fl
 		return
 	}
 	m.tr.Trace(trace.Event{
-		Time:       m.env.Now(),
+		Time:       m.now,
 		Type:       trace.CoordinationDecision,
 		ConnID:     m.connID,
 		Case:       caseNo,
@@ -191,8 +191,9 @@ func (m *Machine) Report(rep *AdaptationReport) {
 	if rep == nil {
 		return
 	}
+	defer m.exit(m.enter())
 	info := CallbackInfo{
-		Now:        m.env.Now(),
+		Now:        m.now,
 		ErrorRatio: m.meas.smoothed(),
 		RawRatio:   m.meas.lastRaw(),
 		RateBps:    m.meas.rate(),

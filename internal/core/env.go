@@ -37,7 +37,13 @@ type Timer interface {
 // the same serialisation context, so no acknowledgement is ever owed once
 // that context is left.
 type Env interface {
-	// Now returns the current (virtual) time.
+	// Now returns the current (virtual) time. The machine reads it at most
+	// once per entry — an exported method, a receive run from BeginRun up
+	// to and including EndRun's ACK, or a timer callback — and a nested
+	// entry (an application callback re-entering the machine) keeps the
+	// outer reading. Every timestamp an entry produces carries that one
+	// instant: packet TS, SentAt/DeliveredAt, RTT samples, deadlines, timer
+	// arming, trace events, measurement periods.
 	Now() time.Duration
 
 	// Emit hands a packet to the wire. Ownership is symmetric with

@@ -74,6 +74,7 @@ func (m *Machine) fecFlushDelay() time.Duration {
 // onFecFlush is the cached flush-timer callback: emit the open partial
 // group's repair, if one is still open.
 func (m *Machine) onFecFlush() {
+	defer m.exit(m.enter())
 	m.fecFlushTimer = nil
 	if m.state != stEstablished && m.state != stFinWait {
 		return
@@ -91,11 +92,10 @@ func (m *Machine) emitRepair(reason string) {
 	if !ok {
 		return
 	}
-	now := m.env.Now()
 	m.metrics.FecRepairsSent++
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: now, Type: trace.FecRepairSent, ConnID: m.connID,
+			Time: m.now, Type: trace.FecRepairSent, ConnID: m.connID,
 			Seq: base, Size: len(parity), Reason: reason,
 		})
 	}
@@ -104,11 +104,11 @@ func (m *Machine) emitRepair(reason string) {
 		ConnID:  m.connID,
 		Seq:     base,
 		FragCnt: uint16(span),
-		TS:      now,
+		TS:      m.now,
 		Payload: parity,
 	}
 	m.attachAck(&m.out)
-	m.lastSent = now
+	m.lastSent = m.now
 	m.env.Emit(&m.out)
 }
 
@@ -138,7 +138,7 @@ func (m *Machine) handleRepair(p *packet.Packet) {
 	if m.fecDec == nil {
 		m.fecDec = fec.NewDecoder(fec.XOR{}, 0)
 	}
-	m.fecQueue = m.fecDec.OnRepair(p.Seq, int(p.FragCnt), p.Payload, m.rcvNxt, m.env.Now(), m.fecQueue)
+	m.fecQueue = m.fecDec.OnRepair(p.Seq, int(p.FragCnt), p.Payload, m.rcvNxt, m.now, m.fecQueue)
 	m.drainFecQueue(p.TS)
 }
 
@@ -148,7 +148,7 @@ func (m *Machine) handleRepair(p *packet.Packet) {
 //
 //iqlint:borrow
 func (m *Machine) fecOnData(p *packet.Packet) {
-	m.fecQueue = m.fecDec.OnData(p.Seq, p.Flags, p.MsgID, p.Frag, p.FragCnt, p.Attrs, p.Payload, m.env.Now(), m.fecQueue)
+	m.fecQueue = m.fecDec.OnData(p.Seq, p.Flags, p.MsgID, p.Frag, p.FragCnt, p.Attrs, p.Payload, m.now, m.fecQueue)
 	if len(m.fecQueue) > 0 {
 		m.drainFecQueue(p.TS)
 	}
@@ -180,7 +180,6 @@ func (m *Machine) drainFecQueue(ts time.Duration) {
 // EACK generation, delivery metrics, tracing — treats it exactly like a
 // wire arrival. ts stands in for the lost packet's timestamp.
 func (m *Machine) acceptRecovered(r fec.Recovered, ts time.Duration) {
-	now := m.env.Now()
 	marked := r.Flags&packet.FlagMarked != 0
 	m.metrics.FecRecovered++
 	if marked {
@@ -188,12 +187,12 @@ func (m *Machine) acceptRecovered(r fec.Recovered, ts time.Duration) {
 	}
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: now, Type: trace.FecRecovered, ConnID: m.connID,
+			Time: m.now, Type: trace.FecRecovered, ConnID: m.connID,
 			Seq: r.Seq, MsgID: r.MsgID, Size: len(r.Payload), Marked: marked,
 		})
 	}
 	if m.hs != nil {
-		m.hs.FecRepair.RecordDur(now - r.HoleOpenAt)
+		m.hs.FecRepair.RecordDur(m.now - r.HoleOpenAt)
 	}
 	p := packet.Get()
 	payload := p.Payload
@@ -239,7 +238,7 @@ func (m *Machine) fecAdapt() {
 	m.fecEnc.SetGroup(k)
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: m.env.Now(), Type: trace.FecRateChange, ConnID: m.connID,
+			Time: m.now, Type: trace.FecRateChange, ConnID: m.connID,
 			PrevCwnd: float64(prev), Cwnd: float64(k),
 			ErrorRatio: loss, Reason: trace.ReasonFecAdapt,
 		})

@@ -194,6 +194,14 @@ type Machine struct {
 	paceTimer    Timer         // armed while a paced transmission gap is pending
 	paceFn       func()        // cached onPaceGap method value
 
+	// Clock (see enter). now is the instant of the entry in progress, read
+	// once from Env.Now by the outermost entry; every timestamp the entry
+	// produces uses it. clocked marks an entry in progress; runClock marks
+	// the one BeginRun opened and EndRun closes.
+	now      time.Duration
+	clocked  bool
+	runClock bool
+
 	metrics Metrics
 
 	// Receiver-side delivery stats (also exposed in Metrics).
@@ -252,6 +260,27 @@ func NewMachine(cfg Config, env Env) *Machine {
 	return m
 }
 
+// enter begins a machine entry (an exported method or a timer callback):
+// the outermost entry reads the clock, and a nested one — an application
+// callback re-entering the machine, a FEC reconstruction fed back through
+// HandlePacket — keeps the outer reading. It reports whether this entry took
+// the clock; hand that to exit, typically as defer m.exit(m.enter()).
+func (m *Machine) enter() bool {
+	if m.clocked {
+		return false
+	}
+	m.now = m.env.Now()
+	m.clocked = true
+	return true
+}
+
+// exit ends an entry; took is what the matching enter returned.
+func (m *Machine) exit(took bool) {
+	if took {
+		m.clocked = false
+	}
+}
+
 // Registry returns the connection's shared quality-attribute registry. The
 // transport publishes NET_* metrics there each measurement period; the
 // application may publish its own attributes (e.g. LOSS_TOLERANCE).
@@ -307,6 +336,7 @@ func (m *Machine) StartClient() {
 	if m.state != stClosed {
 		return
 	}
+	defer m.exit(m.enter())
 	m.initiator = true
 	if m.connID == 0 {
 		m.connID = 0x1001
@@ -340,7 +370,7 @@ func (m *Machine) sendSyn() {
 		ConnID:  m.connID,
 		Seq:     m.sndISN,
 		Wnd:     m.cfg.RecvWindow,
-		TS:      m.env.Now(),
+		TS:      m.now,
 		Attrs:   m.handshakeAttrs(),
 		Payload: payload,
 	}
@@ -366,6 +396,7 @@ func (m *Machine) handleRetry(p *packet.Packet) {
 // onSynRetry is the cached SYN-retransmission callback: while the active
 // open is still unanswered, re-send the SYN (which re-arms the retry).
 func (m *Machine) onSynRetry() {
+	defer m.exit(m.enter())
 	m.connTimer = nil
 	if m.state == stSynSent {
 		m.sendSyn()
@@ -375,6 +406,7 @@ func (m *Machine) onSynRetry() {
 // onFinRetry is the cached FIN-timeout callback: an unanswered FIN gets one
 // retry interval before the connection is torn down.
 func (m *Machine) onFinRetry() {
+	defer m.exit(m.enter())
 	m.connTimer = nil
 	if m.state == stFinWait {
 		m.abortWith(trace.ReasonFinTimeout) // give up after one retry interval
@@ -398,8 +430,8 @@ func (m *Machine) establish() {
 		m.connTimer.Stop()
 		m.connTimer = nil
 	}
-	m.lastHeard = m.env.Now()
-	m.lastSent = m.env.Now()
+	m.lastHeard = m.now
+	m.lastSent = m.now
 	m.armFec()
 	m.startLiveness()
 	m.meas.start()
@@ -412,6 +444,7 @@ func (m *Machine) establish() {
 // Close initiates an orderly shutdown once all pending data is sent and
 // acknowledged. Data still queued continues to flow first.
 func (m *Machine) Close() {
+	defer m.exit(m.enter())
 	switch m.state {
 	case stDead, stFinWait:
 		return
@@ -443,21 +476,24 @@ func (m *Machine) maybeFinish() {
 		m.emitRepair(trace.ReasonFecFlush)
 	}
 	m.setState(stFinWait)
-	m.out = packet.Packet{Type: packet.FIN, ConnID: m.connID, Seq: m.sndNxt, TS: m.env.Now()}
+	m.out = packet.Packet{Type: packet.FIN, ConnID: m.connID, Seq: m.sndNxt, TS: m.now}
 	m.env.Emit(&m.out)
 	m.armConnRetry(m.finRetryFn)
 }
 
 // Abort tears the machine down immediately — no FIN exchange, no drain.
 // Drivers use it for abortive teardown (RST-like local eviction).
-func (m *Machine) Abort() { m.abortWith(trace.ReasonAborted) }
+func (m *Machine) Abort() { m.AbortWith(trace.ReasonAborted) }
 
 // AbortWith is Abort recording an explicit close reason (one of the
 // trace.Reason* close-reason constants); drivers use it so teardown causes
 // they observe outside the machine — a dead socket, a handshake deadline, a
 // resumed successor — surface through CloseReason and the typed error
 // taxonomy instead of a generic abort.
-func (m *Machine) AbortWith(reason string) { m.abortWith(reason) }
+func (m *Machine) AbortWith(reason string) {
+	defer m.exit(m.enter())
+	m.abortWith(reason)
+}
 
 // CloseReason reports why the connection died ("" while it is alive).
 // Exactly one reason is recorded per connection, on the transition to the
@@ -518,19 +554,19 @@ func (m *Machine) startLiveness() {
 // onLiveTick is the cached keepalive/dead-peer callback: probe or abort,
 // then re-arm.
 func (m *Machine) onLiveTick() {
+	defer m.exit(m.enter())
 	m.liveTimer = nil
 	if m.state != stEstablished && m.state != stFinWait {
 		return
 	}
-	now := m.env.Now()
-	if m.cfg.DeadInterval > 0 && now-m.lastHeard >= m.cfg.DeadInterval {
+	if m.cfg.DeadInterval > 0 && m.now-m.lastHeard >= m.cfg.DeadInterval {
 		m.abortWith(trace.ReasonPeerDead)
 		return
 	}
-	if m.cfg.Keepalive > 0 && now-m.lastSent >= m.cfg.Keepalive {
-		m.out = packet.Packet{Type: packet.NUL, ConnID: m.connID, Seq: m.sndNxt, TS: now}
+	if m.cfg.Keepalive > 0 && m.now-m.lastSent >= m.cfg.Keepalive {
+		m.out = packet.Packet{Type: packet.NUL, ConnID: m.connID, Seq: m.sndNxt, TS: m.now}
 		m.env.Emit(&m.out)
-		m.lastSent = now
+		m.lastSent = m.now
 	}
 	m.liveTimer = m.env.After(m.liveInterval, m.liveFn)
 }
@@ -544,6 +580,7 @@ func (m *Machine) NoteTxError(n uint64, err error) {
 	if n == 0 {
 		return
 	}
+	defer m.exit(m.enter())
 	m.metrics.TxErrors += n
 	if m.tr != nil {
 		reason := ""
@@ -551,7 +588,7 @@ func (m *Machine) NoteTxError(n uint64, err error) {
 			reason = err.Error()
 		}
 		m.tr.Trace(trace.Event{
-			Time: m.env.Now(), Type: trace.TxError, ConnID: m.connID,
+			Time: m.now, Type: trace.TxError, ConnID: m.connID,
 			Size: int(n), Reason: reason,
 		})
 	}
@@ -570,7 +607,8 @@ func (m *Machine) HandlePacket(p *packet.Packet) {
 	if m.state == stDead {
 		return
 	}
-	m.lastHeard = m.env.Now()
+	defer m.exit(m.enter())
+	m.lastHeard = m.now
 	switch p.Type {
 	case packet.SYN:
 		m.handleSyn(p)
@@ -585,7 +623,7 @@ func (m *Machine) HandlePacket(p *packet.Packet) {
 	case packet.NUL:
 		m.handleNul(p)
 	case packet.FIN:
-		m.out = packet.Packet{Type: packet.FINACK, ConnID: m.connID, TS: m.env.Now()}
+		m.out = packet.Packet{Type: packet.FINACK, ConnID: m.connID, TS: m.now}
 		m.env.Emit(&m.out)
 		m.abortWith(trace.ReasonRemoteFin)
 	case packet.FINACK:
@@ -615,8 +653,13 @@ func (m *Machine) HandlePacket(p *packet.Packet) {
 // that answer also settles whatever was owed. The owed ACK goes out at
 // EndRun, or earlier once it covers a quarter of the advertised window, and
 // echoes the timestamp of the earliest packet it covers (RFC 7323 §4.3), so
-// the peer's RTT samples include the coalescing delay.
-func (m *Machine) BeginRun() { m.inRun = true }
+// the peer's RTT samples include the coalescing delay. The run is one entry
+// for the clock (see Env.Now): BeginRun reads it, and every packet handled
+// and emitted up to and including EndRun's ACK carries that instant.
+func (m *Machine) BeginRun() {
+	m.inRun = true
+	m.runClock = m.enter()
+}
 
 // EndRun closes the receive run opened by BeginRun and emits the ACK it
 // owes, if any. Nothing is owed once it returns; a machine that died during
@@ -626,6 +669,8 @@ func (m *Machine) EndRun() {
 	if m.ackOwed > 0 {
 		m.sendAck()
 	}
+	m.exit(m.runClock)
+	m.runClock = false
 }
 
 // oweAck records an in-order arrival whose acknowledgement a receive run
@@ -682,7 +727,7 @@ func (m *Machine) sendSynAck(tsEcho time.Duration, echo bool) {
 		Seq:    m.sndISN,
 		Ack:    m.rcvNxt,
 		Wnd:    m.cfg.RecvWindow,
-		TS:     m.env.Now(),
+		TS:     m.now,
 		TSEcho: tsEcho,
 		Attrs:  m.handshakeAttrs(),
 	})
@@ -707,6 +752,7 @@ func (m *Machine) handshakeAttrs() *attr.List {
 const maxSynAckRetries = 8
 
 func (m *Machine) synAckRetry() {
+	defer m.exit(m.enter())
 	if m.state != stSynRcvd {
 		return
 	}
@@ -740,7 +786,7 @@ func (m *Machine) handleSynAck(p *packet.Packet) {
 		m.peerFecGroup = int(v)
 	}
 	if p.HasEcho() {
-		m.sampleRTT(packet.TSSince(m.env.Now(), p.TSEcho))
+		m.sampleRTT(packet.TSSince(m.now, p.TSEcho))
 	}
 	m.establish()
 	// Complete the three-way exchange so the passive side establishes too.

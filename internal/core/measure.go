@@ -62,6 +62,7 @@ func (me *measurement) arm() {
 // onTick is the cached period-boundary callback: close the period and
 // re-arm while the loop is running.
 func (me *measurement) onTick() {
+	defer me.m.exit(me.m.enter())
 	me.m.measTicker = nil
 	if !me.running || me.m.state == stDead {
 		return
@@ -98,7 +99,7 @@ func (me *measurement) tick() {
 
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: m.env.Now(), Type: trace.MeasurementPeriod, ConnID: m.connID,
+			Time: m.now, Type: trace.MeasurementPeriod, ConnID: m.connID,
 			RawRatio: me.raw, ErrorRatio: me.smoothed(), RateBps: me.lastRate,
 			SRTT: m.rtt.SRTT(), Cwnd: m.cc.Window(),
 		})
@@ -124,7 +125,7 @@ func (me *measurement) fireCallbacks() {
 	}
 	ratio := me.raw
 	info := CallbackInfo{
-		Now:        m.env.Now(),
+		Now:        m.now,
 		ErrorRatio: ratio,
 		RawRatio:   me.raw,
 		Smoothed:   me.smoothed(),
@@ -161,7 +162,7 @@ func (me *measurement) traceCallback(which string, rep *AdaptationReport) {
 		return
 	}
 	ev := trace.Event{
-		Time: m.env.Now(), Type: trace.ThresholdCallbackFired, ConnID: m.connID,
+		Time: m.now, Type: trace.ThresholdCallbackFired, ConnID: m.connID,
 		RawRatio: me.raw, ErrorRatio: me.smoothed(), Reason: which, Kind: trace.KindNone,
 	}
 	if rep != nil {

@@ -112,7 +112,7 @@ func (m *Machine) snapFlight(reason string) {
 		ConnID:      m.connID,
 		State:       m.state.String(),
 		CloseReason: reason,
-		ClosedAt:    m.env.Now(),
+		ClosedAt:    m.now,
 		Metrics:     m.Metrics(),
 		Events:      m.flightRing.Events(),
 		Dropped:     m.flightRing.Dropped(),

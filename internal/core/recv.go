@@ -60,7 +60,7 @@ func (m *Machine) handleData(p *packet.Packet) {
 	}
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: m.env.Now(), Type: trace.PacketReceived, ConnID: m.connID,
+			Time: m.now, Type: trace.PacketReceived, ConnID: m.connID,
 			Seq: p.Seq, MsgID: p.MsgID, Size: len(p.Payload),
 			Marked: p.Marked(), Reason: reason,
 		})
@@ -170,9 +170,8 @@ func newReassembler(m *Machine) *reassembler { return &reassembler{m: m} }
 //
 //iqlint:borrow
 func (r *reassembler) addFragment(p *packet.Packet) {
-	// Unwrap against the arrival time HandlePacket just recorded, which
-	// saves reading the clock again per fragment.
-	ts := packet.TSUnwrap(p.TS, r.m.lastHeard)
+	// Unwrap against the entry's clock reading, the packet's arrival time.
+	ts := packet.TSUnwrap(p.TS, r.m.now)
 	if !r.active || r.cur != p.MsgID {
 		r.flushIncomplete()
 		r.start(p, ts)
@@ -270,7 +269,7 @@ func (r *reassembler) maybeComplete() {
 		Partial:     r.skipped > 0,
 		Attrs:       r.attrs,
 		SentAt:      r.sentAt,
-		DeliveredAt: r.m.env.Now(),
+		DeliveredAt: r.m.now,
 	}
 	r.m.metrics.DeliveredMsgs++
 	if msg.Partial {
@@ -328,7 +327,7 @@ func (m *Machine) appendSortedEacks(dst []uint32, limit int) []uint32 {
 		m.metrics.EackClips++
 		if m.tr != nil {
 			m.tr.Trace(trace.Event{
-				Time: m.env.Now(), Type: trace.EackClipped, ConnID: m.connID,
+				Time: m.now, Type: trace.EackClipped, ConnID: m.connID,
 				Size: len(out) - limit,
 			})
 		}

@@ -10,7 +10,8 @@ import (
 )
 
 // Send transmits one application message (datagram) reliably when marked,
-// or best-effort within the receiver's loss tolerance when unmarked.
+// or best-effort within the receiver's loss tolerance when unmarked. It
+// keeps data as SendMsg does.
 func (m *Machine) Send(data []byte, marked bool) error {
 	return m.SendMsg(data, marked, nil)
 }
@@ -20,6 +21,14 @@ func (m *Machine) Send(data []byte, marked bool) error {
 // interpreted by the coordination engine before the message is queued, so an
 // application can enact a previously announced (delayed) adaptation exactly
 // at the send call that first reflects it.
+//
+// SendMsg keeps data: its fragments are slices of the caller's buffer, held
+// until the peer's cumulative acknowledgement passes them (retransmissions
+// and FEC parity read from them), and CarryoverMarked may return them after
+// the connection dies. The caller must not modify or reuse data after the
+// call. The transport does not copy, because a copy would cost every message
+// a pass over its bytes (16 KiB on a bulk message) to protect a buffer most
+// callers never touch again.
 func (m *Machine) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 	if m.state == stDead || m.closing {
 		return ErrClosed
@@ -27,6 +36,7 @@ func (m *Machine) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 	if len(data) == 0 {
 		return ErrPayloadEmpty
 	}
+	defer m.exit(m.enter())
 	// Coordination first: attributes describe the traffic that FOLLOWS,
 	// starting with this message.
 	if attrs != nil {
@@ -47,7 +57,7 @@ func (m *Machine) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 			// The message dies before segmentation, so it never gets a
 			// sequence number or message id.
 			m.tr.Trace(trace.Event{
-				Time: m.env.Now(), Type: trace.PacketAbandoned, ConnID: m.connID,
+				Time: m.now, Type: trace.PacketAbandoned, ConnID: m.connID,
 				Size: len(data), Reason: trace.ReasonCase1Discard,
 			})
 		}
@@ -60,7 +70,7 @@ func (m *Machine) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 	// on stale data — provided the receiver's loss tolerance permits.
 	var deadline time.Duration
 	if d := attrs.FloatOr(attr.Deadline, 0); d > 0 {
-		deadline = m.env.Now() + time.Duration(d*float64(time.Second))
+		deadline = m.now + time.Duration(d*float64(time.Second))
 	}
 
 	mss := m.cfg.MSS
@@ -139,7 +149,7 @@ func (m *Machine) shedIngress(size int) {
 	m.metrics.ShedBytes += uint64(size)
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: m.env.Now(), Type: trace.ShedUnmarked, ConnID: m.connID,
+			Time: m.now, Type: trace.ShedUnmarked, ConnID: m.connID,
 			Size: size, Reason: trace.ReasonShedIngress,
 		})
 	}
@@ -193,18 +203,16 @@ func (m *Machine) getSendPkt() *sendPkt {
 
 // putSendPkt returns a sendPkt whose flight is over to the freelist. The
 // payload and attribute references are dropped so the freelist never pins
-// application data. The list is capacity-bounded; overflow falls to the GC.
+// application data. The list has no cap: getSendPkt allocates only when it
+// is empty, so it never holds more structs than the connection once had
+// live at the same time (send backlog plus flight). A cap below that peak
+// — a 512-packet backlog behind a 512-packet window — turns every drain and
+// refill of the backlog into fresh allocations.
 func (m *Machine) putSendPkt(sp *sendPkt) {
 	sp.payload = nil
 	sp.attrs = nil
-	if len(m.spFree) < spFreeMax {
-		m.spFree = append(m.spFree, sp)
-	}
+	m.spFree = append(m.spFree, sp)
 }
-
-// spFreeMax bounds the sendPkt freelist: enough for a full default
-// congestion + receive window without letting an idle connection pin memory.
-const spFreeMax = 256
 
 // popPending removes and returns the head of the untransmitted queue. A head
 // index is used instead of reslicing so the backing array is reused once the
@@ -286,7 +294,7 @@ func (m *Machine) trySend() {
 		sp := m.popPending()
 		// Expired unmarked data is abandoned before its first transmission
 		// (deadline-based partial reliability), tolerance permitting.
-		if sp.deadline > 0 && !sp.marked() && m.env.Now() > sp.deadline && m.canSkipFragment(sp) {
+		if sp.deadline > 0 && !sp.marked() && m.now > sp.deadline && m.canSkipFragment(sp) {
 			if !m.skippedMsgs[sp.msgID] {
 				m.skippedMsgs[sp.msgID] = true
 				m.relMsgsDropped++
@@ -323,7 +331,7 @@ func (m *Machine) pacedSend() {
 	}
 	for m.pendingLen() > 0 && float64(m.inFlightCount()) < m.effectiveWindow() {
 		sp := m.popPending()
-		if sp.deadline > 0 && !sp.marked() && m.env.Now() > sp.deadline && m.canSkipFragment(sp) {
+		if sp.deadline > 0 && !sp.marked() && m.now > sp.deadline && m.canSkipFragment(sp) {
 			if !m.skippedMsgs[sp.msgID] {
 				m.skippedMsgs[sp.msgID] = true
 				m.relMsgsDropped++
@@ -360,6 +368,7 @@ func (m *Machine) pacedSend() {
 // onPaceGap is the cached pacing-gap callback: the gap has elapsed, resume
 // the paced train.
 func (m *Machine) onPaceGap() {
+	defer m.exit(m.enter())
 	m.paceTimer = nil
 	m.trySend()
 }
@@ -369,8 +378,7 @@ func (m *Machine) onPaceGap() {
 // only for the duration of the call, so one staging area serves every
 // emission (see the Env contract).
 func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
-	now := m.env.Now()
-	sp.sentAt = now
+	sp.sentAt = m.now
 	sp.txCount++
 	m.metrics.SentPackets++
 	if isRtx {
@@ -392,7 +400,7 @@ func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
 		MsgID:   sp.msgID,
 		Frag:    sp.frag,
 		FragCnt: sp.fragCnt,
-		TS:      now,
+		TS:      m.now,
 		Attrs:   sp.attrs, // already a private clone, made at SendMsg
 		Payload: sp.payload,
 	}
@@ -402,7 +410,7 @@ func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
 		m.out.Fwd = m.fwdSeq
 		m.fwdPending = false
 	}
-	m.lastSent = now
+	m.lastSent = m.now
 	m.env.Emit(&m.out)
 	// First transmissions feed the repair encoder (retransmissions are
 	// already protected by being retransmissions); a filled group emits its
@@ -454,9 +462,8 @@ func (m *Machine) handleAck(p *packet.Packet) {
 	if tol, err := p.Attrs.Float(attr.LossTolerance); err == nil {
 		m.peerTol = tol
 	}
-	now := m.env.Now()
 	if p.HasEcho() {
-		m.sampleRTT(packet.TSSince(now, p.TSEcho))
+		m.sampleRTT(packet.TSSince(m.now, p.TSEcho))
 	}
 
 	wasLimited := m.windowLimited() // demand before this ack frees space
@@ -475,7 +482,7 @@ func (m *Machine) handleAck(p *packet.Packet) {
 				ackedBytes += uint64(len(sp.payload))
 				m.metrics.AckedPackets++
 				if m.hs != nil {
-					m.hs.AckDelay.RecordDur(now - sp.sentAt)
+					m.hs.AckDelay.RecordDur(m.now - sp.sentAt)
 				}
 				if m.tr != nil {
 					m.tracePacket(trace.PacketAcked, sp, "")
@@ -516,7 +523,7 @@ func (m *Machine) handleAck(p *packet.Packet) {
 				sackedNew++
 				m.metrics.AckedPackets++
 				if m.hs != nil {
-					m.hs.AckDelay.RecordDur(now - sp.sentAt)
+					m.hs.AckDelay.RecordDur(m.now - sp.sentAt)
 				}
 				m.meas.onAckedBytes(uint64(len(sp.payload)))
 				m.metrics.AckedBytes += uint64(len(sp.payload))
@@ -629,12 +636,11 @@ func (m *Machine) onPacketLost(sp *sendPkt) {
 	if sp.done() {
 		return
 	}
-	now := m.env.Now()
 	if m.tr != nil {
 		m.tracePacket(trace.PacketLost, sp, trace.ReasonFast)
 	}
 	m.meas.onLoss(1)
-	m.ccOnLoss(now)
+	m.ccOnLoss(m.now)
 
 	if !sp.marked() && m.canSkipFragment(sp) {
 		m.skipPacket(sp)
@@ -714,7 +720,7 @@ func (m *Machine) emitFwdProbe() {
 		ConnID: m.connID,
 		Seq:    m.sndNxt,
 		Fwd:    m.fwdSeq,
-		TS:     m.env.Now(),
+		TS:     m.now,
 	}
 	m.env.Emit(&m.out)
 	m.fwdPending = false
@@ -734,7 +740,7 @@ func (m *Machine) armRtx() {
 		if len(m.flight) > 0 && packet.SeqLT(m.sndUna, m.fwdSeq) {
 			m.stopRtx()
 			m.rtxIsProbe = true
-			m.rtxAt = m.env.Now() + m.rtt.RTO()
+			m.rtxAt = m.now + m.rtt.RTO()
 			m.rtxTimer = m.env.After(m.rtt.RTO(), m.rtxExpireFn)
 			return
 		}
@@ -752,7 +758,7 @@ func (m *Machine) armRtx() {
 		return // armed timer fires at or before the deadline; expiry re-checks
 	}
 	m.stopRtx()
-	delay := deadline - m.env.Now()
+	delay := deadline - m.now
 	if delay < 0 {
 		delay = 0
 	}
@@ -774,6 +780,7 @@ func (m *Machine) stopRtx() {
 // rtxExpireFn so arming the timer never allocates a closure). The timer has
 // fired, so its pending state is cleared before dispatching.
 func (m *Machine) onRtxExpire() {
+	defer m.exit(m.enter())
 	probe := m.rtxIsProbe
 	m.rtxTimer = nil
 	m.rtxAt = 0
@@ -813,22 +820,21 @@ func (m *Machine) onRtxTimeout() {
 	if earliest == nil {
 		return
 	}
-	now := m.env.Now()
-	if now-earliest.sentAt < m.rtt.RTO() {
+	if m.now-earliest.sentAt < m.rtt.RTO() {
 		// Re-armed lazily; not actually due yet.
 		m.armRtx()
 		return
 	}
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time: now, Type: trace.RTOFired, ConnID: m.connID,
+			Time: m.now, Type: trace.RTOFired, ConnID: m.connID,
 			Seq: earliest.seq, MsgID: earliest.msgID,
 			RTO: m.rtt.RTO(), SRTT: m.rtt.SRTT(),
 		})
 	}
 	m.meas.onLoss(1)
 	m.rttBackoff(trace.ReasonRTO)
-	m.ccOnTimeout(now)
+	m.ccOnTimeout(m.now)
 	if !earliest.marked() && m.canSkipFragment(earliest) {
 		m.skipPacket(earliest)
 	} else {
@@ -894,7 +900,7 @@ func (m *Machine) sendAckEcho(tsEcho time.Duration, echo bool) {
 		Seq:    m.sndNxt,
 		Ack:    m.rcvNxt,
 		Wnd:    m.advertiseWnd(),
-		TS:     m.env.Now(),
+		TS:     m.now,
 		TSEcho: tsEcho,
 		Eacks:  m.outEacks,
 	}
@@ -905,6 +911,6 @@ func (m *Machine) sendAckEcho(tsEcho time.Duration, echo bool) {
 		m.out.Attrs = attr.NewList(attr.Attr{Name: attr.LossTolerance, Value: attr.Float(m.localTol)})
 		m.tolDirty = false
 	}
-	m.lastSent = m.env.Now()
+	m.lastSent = m.now
 	m.env.Emit(&m.out)
 }

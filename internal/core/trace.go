@@ -15,7 +15,7 @@ import (
 // tracePacket emits a packet-lifecycle event.
 func (m *Machine) tracePacket(t trace.Type, sp *sendPkt, reason string) {
 	m.tr.Trace(trace.Event{
-		Time:   m.env.Now(),
+		Time:   m.now,
 		Type:   t,
 		ConnID: m.connID,
 		Seq:    sp.seq,
@@ -30,7 +30,7 @@ func (m *Machine) tracePacket(t trace.Type, sp *sendPkt, reason string) {
 // it (smoothed error ratio and SRTT at the decision).
 func (m *Machine) traceCwnd(prev, now float64, reason string) {
 	m.tr.Trace(trace.Event{
-		Time:       m.env.Now(),
+		Time:       m.now,
 		Type:       trace.CwndUpdate,
 		ConnID:     m.connID,
 		PrevCwnd:   prev,
@@ -52,7 +52,7 @@ func (m *Machine) setStateReason(s connState, reason string) {
 	}
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time:   m.env.Now(),
+			Time:   m.now,
 			Type:   trace.ConnState,
 			ConnID: m.connID,
 			From:   m.state.String(),
@@ -120,7 +120,7 @@ func (m *Machine) rttBackoff(reason string) {
 	m.rtt.Backoff()
 	if m.tr != nil {
 		m.tr.Trace(trace.Event{
-			Time:   m.env.Now(),
+			Time:   m.now,
 			Type:   trace.RTOBackoff,
 			ConnID: m.connID,
 			RTO:    m.rtt.RTO(),

@@ -413,13 +413,17 @@ func (c *Conn) handlePacket(p *packet.Packet) {
 	c.mu.Unlock()
 }
 
-// Send transmits one message (marked = must-deliver).
+// Send transmits one message (marked = must-deliver). Like SendMsg it keeps
+// data, without copying it, until the peer acknowledges it.
 func (c *Conn) Send(data []byte, marked bool) error {
 	return c.SendMsg(data, marked, nil)
 }
 
 // SendMsg transmits one message with a quality-attribute list — the
-// CMwritev_attr path carrying ADAPT_* coordination attributes.
+// CMwritev_attr path carrying ADAPT_* coordination attributes. The
+// transport keeps data, without copying it, until the peer acknowledges
+// it (retransmissions are sent from it), so the caller must not modify or
+// reuse data after the call; see core.Machine.SendMsg.
 func (c *Conn) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -459,9 +463,6 @@ func (c *Conn) Recv(timeout time.Duration) (core.Message, error) {
 		}
 	}
 }
-
-// Messages exposes the delivery queue for select-based consumers.
-func (c *Conn) Messages() <-chan core.Message { return c.msgs }
 
 // RegisterThresholds installs error-ratio callbacks; they run on the
 // connection's timer goroutine with the connection lock held, so they must

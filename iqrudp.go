@@ -50,6 +50,10 @@
 //	conn, _ := iqrudp.Dial("127.0.0.1:9999", iqrudp.DefaultConfig())
 //	conn.Send([]byte("critical"), true)   // reliable
 //	conn.Send([]byte("best-effort"), false) // droppable within tolerance
+//
+// Conn.Send and Conn.SendMsg keep the caller's slice, without copying it,
+// until the peer acknowledges it: do not modify or reuse a buffer after
+// passing it to Send.
 package iqrudp
 
 import (
@@ -227,7 +231,8 @@ var (
 
 // Socket driver types, re-exported.
 type (
-	// Conn is an IQ-RUDP connection over a UDP socket.
+	// Conn is an IQ-RUDP connection over a UDP socket. Its Send and SendMsg
+	// keep the caller's slice until the peer acknowledges it.
 	Conn = udpwire.Conn
 	// Server accepts IQ-RUDP connections: the sharded server engine, with
 	// ConnID-keyed demux and peer-address migration, per-shard SO_REUSEPORT
