@@ -36,14 +36,14 @@ bench-compile: ## bench/ is its own module, outside ./...: vet and test it so an
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-race-smoke: ## quick -race pass: loopback wire tests against the serve engine incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine (incl. TestRouteDataAckAllocs and TestRunCoalescesAcks: one ACK per receive run), the data-path allocation pins, and the core's clock contract and sendPkt freelist pin
+race-smoke: ## quick -race pass: loopback wire tests against the serve engine incl. the traced-sinks smoke, TX ring, packet pool, the timing wheel, the serve engine (incl. TestRouteDataAckAllocs and TestRunCoalescesAcks: one ACK per receive run), the data-path allocation pins, and the core's clock contract, sendPkt freelist and untransmitted-queue storage pin (both ACK patterns) and SYNACK-retry re-arm pin
 	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestAcceptMultipleClients|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer|TestDialedHandleBatchAllocs' ./internal/udpwire/
 	$(GO) test -race -run 'Allocs' ./internal/uio/ ./internal/trace/
 	$(GO) test -race ./internal/packet/
 	$(GO) test -race ./internal/wheel/
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race -run 'TestSteadyStateAllocs' .
-	$(GO) test -race -run 'TestOneClockReadPerEntry|TestSendPktFreelistCoversBacklog' ./internal/core/
+	$(GO) test -race -run 'TestOneClockReadPerEntry|TestSendPktFreelistCoversBacklog|TestSynAckRetryRearmAllocatesNothing' ./internal/core/
 
 chaos-smoke: ## seeded fault-injection soak under -race: blackhole + resume survivability, multi-client chaos invariants (leaks, close reasons, marked delivery)
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_DUR=$(CHAOS_DUR) $(GO) test -race -count=1 -v -run 'TestChaosSoak|TestResumeAcrossBlackhole' ./internal/chaoswire/

@@ -221,48 +221,118 @@ func TestOneClockReadPerEntry(t *testing.T) {
 	}
 }
 
-// TestSendPktFreelistCoversBacklog pins the sendPkt freelist against the
-// steady state of a sender that keeps a 512-packet backlog behind a
-// 512-packet window, acknowledged a window at a time: each cumulative ACK
-// frees a window of structs and the refill takes as many, so once warm the
-// round allocates nothing. A freelist capped below backlog plus flight
-// drops structs at every ACK and allocates them again at every refill.
+// TestSendPktFreelistCoversBacklog pins the sendPkt freelist and the
+// untransmitted queue against the steady state of a sender that keeps a
+// 512-packet backlog behind a 512-packet window, under two ACK patterns:
+//
+//   - window: each cumulative ACK covers the whole flight, so the backlog
+//     moves into the window and the queue empties every round. A freelist
+//     capped below backlog plus flight drops structs at every ACK and
+//     allocates them again at every refill.
+//   - quarter: each ACK covers a quarter of the window and the refill tops
+//     the backlog up again, so the queue never empties, as on a
+//     back-pressured bulk sender. A queue that only rewinds when it drains
+//     keeps a slot for every packet ever sent.
+//
+// Both patterns must allocate nothing once warm. testing.AllocsPerRun
+// divides by the run count in integer arithmetic, so the ~20 geometric
+// growslice calls of a queue that grows by a slot per packet round down to
+// 0 over 1000 rounds: only the storage bound catches that one.
 func TestSendPktFreelistCoversBacklog(t *testing.T) {
 	const wnd = 512
-	cfg := DefaultConfig()
-	cfg.DisableCC = true
-	cfg.FixedWindow = wnd
-	m := NewMachine(cfg, discardEnv{})
-	m.initiator = true
-	m.state = stSynSent
-	m.HandlePacket(&packet.Packet{Type: packet.SYNACK, Flags: packet.FlagAck, Seq: 100, Ack: 2, Wnd: wnd})
-	if !m.Established() {
-		t.Fatalf("state %s, want established", m.State())
-	}
-	payload := []byte("sixty-four bytes of application payload, one fragment per send.")
-	fill := func() {
-		for m.QueuedPackets() < wnd {
-			if err := m.Send(payload, true); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		ack    uint32 // packets each ACK covers
+		rounds int    // AllocsPerRun runs; quarter sends >100 k packets
+	}{
+		{"window", wnd, 20},
+		{"quarter", wnd / 4, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.DisableCC = true
+			cfg.FixedWindow = wnd
+			m := NewMachine(cfg, discardEnv{})
+			m.initiator = true
+			m.state = stSynSent
+			m.HandlePacket(&packet.Packet{Type: packet.SYNACK, Flags: packet.FlagAck, Seq: 100, Ack: 2, Wnd: wnd})
+			if !m.Established() {
+				t.Fatalf("state %s, want established", m.State())
 			}
-		}
+			payload := []byte("sixty-four bytes of application payload, one fragment per send.")
+			fill := func() {
+				for m.QueuedPackets() < wnd {
+					if err := m.Send(payload, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			ack := &packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, Seq: 101, Wnd: wnd}
+			round := func() {
+				ack.Ack = m.sndUna + tc.ack
+				m.HandlePacket(ack)
+				fill()
+			}
+			fill()
+			for i := 0; i < 4; i++ {
+				round()
+			}
+			if m.inFlightCount() != wnd || m.QueuedPackets() != wnd {
+				t.Fatalf("steady state has %d in flight and %d queued, want %d of each", m.inFlightCount(), m.QueuedPackets(), wnd)
+			}
+			sent := m.sndNxt
+			if n := testing.AllocsPerRun(tc.rounds, round); n != 0 {
+				t.Fatalf("an ACK of %d and refill allocated %.1f times, want 0 (sendPkt freelist holds %d)", tc.ack, n, len(m.spFree))
+			}
+			if len(m.spFree) > 2*wnd {
+				t.Fatalf("sendPkt freelist holds %d, want at most backlog plus flight (%d)", len(m.spFree), 2*wnd)
+			}
+			if l, c := len(m.pending), cap(m.pending); l > 4*wnd || c > 4*wnd {
+				t.Fatalf("after %d packets the untransmitted queue has len %d, cap %d for a %d-packet backlog, want both at most %d",
+					m.sndNxt-sent, l, c, m.QueuedPackets(), 4*wnd)
+			}
+		})
 	}
-	ack := &packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, Seq: 101, Wnd: wnd}
-	round := func() {
-		ack.Ack = m.sndUna + wnd // the whole flight; the backlog moves into the window
-		m.HandlePacket(ack)
-		fill()
+}
+
+// TestSynAckRetryRearmAllocatesNothing pins the SYNACK retry's re-arm to
+// the cached connection-retry callback: a retry fire allocates exactly what
+// the SYNACK it emits does (its packet and attribute list), and nothing for
+// re-arming itself. A method value built at the call site escapes to the
+// heap, one allocation per accepted handshake leg.
+func TestSynAckRetryRearmAllocatesNothing(t *testing.T) {
+	env := &armEnv{}
+	m := NewMachine(DefaultConfig(), env)
+	m.StartServer()
+	m.HandlePacket(&packet.Packet{Type: packet.SYN, Flags: packet.FlagAck, ConnID: 7, Seq: 1, Wnd: 64})
+	if m.state != stSynRcvd || env.timer.fn == nil {
+		t.Fatalf("state %s with retry armed %v, want syn-rcvd with the SYNACK retry armed", m.State(), env.timer.fn != nil)
 	}
-	fill()
-	for i := 0; i < 4; i++ {
-		round()
+	fire := func() {
+		m.synAckTries = 0 // stay under the retry cap
+		env.timer.fn()
 	}
-	if m.inFlightCount() != wnd || m.QueuedPackets() != wnd {
-		t.Fatalf("steady state has %d in flight and %d queued, want %d of each", m.inFlightCount(), m.QueuedPackets(), wnd)
+	emit := func() { m.sendSynAck(0, false) }
+	fired, emitted := testing.AllocsPerRun(100, fire), testing.AllocsPerRun(100, emit)
+	if m.state != stSynRcvd {
+		t.Fatalf("state %s after retries, want syn-rcvd", m.State())
 	}
-	if n := testing.AllocsPerRun(20, round); n != 0 {
-		t.Fatalf("a window-sized ACK and refill allocated %.1f times, want 0 (sendPkt freelist holds %d)", n, len(m.spFree))
+	if fired != emitted {
+		t.Fatalf("a SYNACK retry fire allocated %.1f times, its SYNACK %.1f: the re-arm allocated %.1f, want 0",
+			fired, emitted, fired-emitted)
 	}
+}
+
+// armEnv is a discardEnv whose After reuses one timer holding the last
+// callback armed, so arming a timer allocates nothing itself.
+type armEnv struct {
+	discardEnv
+	timer nullTimer
+}
+
+func (e *armEnv) After(_ time.Duration, fn func()) Timer {
+	e.timer = nullTimer{fn: fn}
+	return &e.timer
 }
 
 // discardEnv drops every emission and delivery and arms inert timers, so

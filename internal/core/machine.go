@@ -95,8 +95,8 @@ type Machine struct {
 	sndISN     uint32
 	sndNxt     uint32     // next sequence number to assign
 	sndUna     uint32     // oldest unacknowledged sequence number
-	pending    []*sendPkt // segmented, not yet transmitted (ring from pendHead)
-	pendHead   int        // index of the queue head within pending
+	pending    []*sendPkt // segmented, not yet transmitted, live from pendHead
+	pendHead   int        // index of the queue head within pending (see popPending)
 	flight     []*sendPkt // transmitted, not yet cumulatively acked
 	inFlight   int        // flight entries not yet done() — kept incrementally
 	sackedCnt  int        // flight entries with sacked set — gates loss scans
@@ -178,8 +178,7 @@ type Machine struct {
 	rtxIsProbe  bool          // armed for a forward-point probe, not an RTO
 	rtxExpireFn func()        // cached onRtxExpire method value (no per-arm closure)
 	connTimer   Timer
-	synRetryFn  func() // cached onSynRetry method value
-	finRetryFn  func() // cached onFinRetry method value
+	connRetryFn func() // cached onConnRetry method value (SYN, SYNACK and FIN retries)
 	measTicker  Timer
 
 	closing     bool   // Close requested; FIN once the pipeline drains
@@ -252,8 +251,7 @@ func NewMachine(cfg Config, env Env) *Machine {
 	m.meas = newMeasurement(m)
 	m.coo = newCoordinator(m)
 	m.rtxExpireFn = m.onRtxExpire
-	m.synRetryFn = m.onSynRetry
-	m.finRetryFn = m.onFinRetry
+	m.connRetryFn = m.onConnRetry
 	m.paceFn = m.onPaceGap
 	m.liveFn = m.onLiveTick
 	m.reg.Set(attr.LossTolerance, attr.Float(m.localTol))
@@ -375,7 +373,7 @@ func (m *Machine) sendSyn() {
 		Payload: payload,
 	}
 	m.env.Emit(p)
-	m.armConnRetry(m.synRetryFn)
+	m.armConnRetry()
 }
 
 // handleRetry honours a stateless address-validation challenge: re-send the
@@ -393,31 +391,38 @@ func (m *Machine) handleRetry(p *packet.Packet) {
 	m.sendSyn()
 }
 
-// onSynRetry is the cached SYN-retransmission callback: while the active
-// open is still unanswered, re-send the SYN (which re-arms the retry).
-func (m *Machine) onSynRetry() {
+// onConnRetry is the cached callback of the connection retry timer. Each
+// state that arms it stops the previous arm and every transition out of
+// those states stops it, so the state it fires in is the state it was
+// armed for: an unanswered SYN is re-sent (which re-arms the retry), an
+// unanswered SYNACK is re-sent up to maxSynAckRetries times, and an
+// unanswered FIN gets one retry interval before the connection is torn
+// down. One callback for the three, instead of one each, saves every
+// machine two method-value allocations at construction.
+func (m *Machine) onConnRetry() {
 	defer m.exit(m.enter())
 	m.connTimer = nil
-	if m.state == stSynSent {
+	switch m.state {
+	case stSynSent:
 		m.sendSyn()
+	case stSynRcvd:
+		m.synAckTries++
+		if m.synAckTries > maxSynAckRetries {
+			m.abortWith(trace.ReasonHandshakeTimeout)
+			return
+		}
+		m.sendSynAck(0, false)
+		m.armConnRetry()
+	case stFinWait:
+		m.abortWith(trace.ReasonFinTimeout)
 	}
 }
 
-// onFinRetry is the cached FIN-timeout callback: an unanswered FIN gets one
-// retry interval before the connection is torn down.
-func (m *Machine) onFinRetry() {
-	defer m.exit(m.enter())
-	m.connTimer = nil
-	if m.state == stFinWait {
-		m.abortWith(trace.ReasonFinTimeout) // give up after one retry interval
-	}
-}
-
-func (m *Machine) armConnRetry(fn func()) {
+func (m *Machine) armConnRetry() {
 	if m.connTimer != nil {
 		m.connTimer.Stop()
 	}
-	m.connTimer = m.env.After(m.rtt.RTO(), fn)
+	m.connTimer = m.env.After(m.rtt.RTO(), m.connRetryFn)
 }
 
 // establish transitions to the established state exactly once.
@@ -478,7 +483,7 @@ func (m *Machine) maybeFinish() {
 	m.setState(stFinWait)
 	m.out = packet.Packet{Type: packet.FIN, ConnID: m.connID, Seq: m.sndNxt, TS: m.now}
 	m.env.Emit(&m.out)
-	m.armConnRetry(m.finRetryFn)
+	m.armConnRetry()
 }
 
 // Abort tears the machine down immediately — no FIN exchange, no drain.
@@ -706,9 +711,9 @@ func (m *Machine) handleSyn(p *packet.Packet) {
 		// Retry until the initiator's first ACK or DATA establishes us: the
 		// SYNACK (or the final handshake leg) can be lost. A fresh SYN
 		// restarts the retry budget — only a peer that goes silent mid-
-		// handshake exhausts it (see synAckRetry).
+		// handshake exhausts it (see onConnRetry).
 		m.synAckTries = 0
-		m.armConnRetry(m.synAckRetry)
+		m.armConnRetry()
 	}
 }
 
@@ -750,20 +755,6 @@ func (m *Machine) handshakeAttrs() *attr.List {
 // allocation. A slow-but-live initiator is unaffected: its retransmitted
 // SYNs reset the budget in handleSyn.
 const maxSynAckRetries = 8
-
-func (m *Machine) synAckRetry() {
-	defer m.exit(m.enter())
-	if m.state != stSynRcvd {
-		return
-	}
-	m.synAckTries++
-	if m.synAckTries > maxSynAckRetries {
-		m.abortWith(trace.ReasonHandshakeTimeout)
-		return
-	}
-	m.sendSynAck(0, false)
-	m.armConnRetry(m.synAckRetry)
-}
 
 //iqlint:borrow
 func (m *Machine) handleSynAck(p *packet.Packet) {

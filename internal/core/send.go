@@ -214,15 +214,20 @@ func (m *Machine) putSendPkt(sp *sendPkt) {
 	m.spFree = append(m.spFree, sp)
 }
 
-// popPending removes and returns the head of the untransmitted queue. A head
-// index is used instead of reslicing so the backing array is reused once the
-// queue drains, instead of creeping forward and reallocating.
+// popPending removes and returns the head of the untransmitted queue. The
+// head advances by index; once the popped prefix is at least half the slice,
+// the live tail is copied down to the front, so the slice stays under twice
+// the largest backlog held. A back-pressured sender seldom drains its
+// queue, and without the compaction the array would keep a slot for every
+// packet it ever sent. The copy averages one pointer per pop.
 func (m *Machine) popPending() *sendPkt {
 	sp := m.pending[m.pendHead]
 	m.pending[m.pendHead] = nil
 	m.pendHead++
-	if m.pendHead == len(m.pending) {
-		m.pending = m.pending[:0]
+	if m.pendHead*2 >= len(m.pending) {
+		rem := copy(m.pending, m.pending[m.pendHead:])
+		clear(m.pending[rem:])
+		m.pending = m.pending[:rem]
 		m.pendHead = 0
 	}
 	m.memSub(guard.ClassSend, len(sp.payload))
