@@ -182,6 +182,34 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeHandshakeBlockAllocs pins the decode of a handshake leg's
+// attribute block — two attributes under names this package defines — to
+// one allocation, the list with its entries inline; a longer block, or an
+// unknown name, still decodes to an equal, independent list.
+func TestDecodeHandshakeBlockAllocs(t *testing.T) {
+	hs := NewList(Attr{LossTolerance, Float(0.25)}, Attr{FECGroup, Int(8)})
+	b, err := Encode(hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("decoding a two-attribute handshake block allocates %.1f times, want 1", n)
+	}
+	got, _, err := Decode(b)
+	if err != nil || !got.Equal(hs) {
+		t.Fatalf("Decode = %v, %v; want %v", got, err, hs)
+	}
+	got.Set(Deadline, Float(1)) // grows past the inline entries
+	got.Set(LossTolerance, Float(0.5))
+	if again, _, _ := Decode(b); !again.Equal(hs) || got.FloatOr(Deadline, 0) != 1 {
+		t.Fatalf("decoded lists share storage: %v, %v", again, got)
+	}
+}
+
 func TestEncodeEmptyAndNil(t *testing.T) {
 	for _, l := range []*List{nil, NewList()} {
 		b, err := Encode(l)

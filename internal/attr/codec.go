@@ -91,7 +91,14 @@ func Decode(b []byte) (*List, int, error) {
 	if n == 0 {
 		return nil, off, nil
 	}
-	l := &List{attrs: make([]Attr, 0, n)}
+	var l *List
+	if n <= inlineAttrs {
+		d := new(decodedList)
+		d.attrs = d.buf[:0]
+		l = &d.List
+	} else {
+		l = &List{attrs: make([]Attr, 0, n)}
+	}
 	for i := 0; i < n; i++ {
 		if off >= len(b) {
 			return nil, 0, ErrTruncated
@@ -101,7 +108,7 @@ func Decode(b []byte) (*List, int, error) {
 		if off+nameLen+1 > len(b) {
 			return nil, 0, ErrTruncated
 		}
-		name := string(b[off : off+nameLen])
+		name := internName(b[off : off+nameLen])
 		off += nameLen
 		kind := Kind(b[off])
 		off++
@@ -143,6 +150,35 @@ func Decode(b []byte) (*List, int, error) {
 		l.Set(name, v)
 	}
 	return l, off, nil
+}
+
+// inlineAttrs is how many attributes a decoded list holds without a
+// separate allocation: a handshake leg carries one or two.
+const inlineAttrs = 2
+
+// decodedList is what Decode allocates for a short block: the list and
+// room for its attributes, one object.
+type decodedList struct {
+	List
+	buf [inlineAttrs]Attr
+}
+
+// known maps every name this package defines to its constant.
+var known = func() map[string]string {
+	m := make(map[string]string)
+	for _, n := range Names() {
+		m[n] = n
+	}
+	return m
+}()
+
+// internName returns the package's constant for a defined name, so
+// decoding one allocates nothing, and a copy of b for any other.
+func internName(b []byte) string {
+	if n, ok := known[string(b)]; ok {
+		return n
+	}
+	return string(b)
 }
 
 // EncodedSize returns the number of bytes Encode would produce.

@@ -9,28 +9,26 @@ import "sync"
 // publishes NET_LOSS continuously; the application publishes LOSS_TOLERANCE).
 //
 // Registry is safe for concurrent use; under the discrete-event simulator
-// the mutex is uncontended and effectively free.
+// the mutex is uncontended and effectively free. The zero Registry is empty
+// and ready to use, so a connection holds its registry inline: attributes
+// are kept in a List (a connection publishes a handful) and the watcher
+// map is built by the first Watch.
 type Registry struct {
 	mu       sync.RWMutex
-	attrs    map[string]Value
+	attrs    List
 	watchers map[string][]func(name string, v Value)
 	all      []func(name string, v Value)
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		attrs:    make(map[string]Value),
-		watchers: make(map[string][]func(string, Value)),
-	}
-}
+func NewRegistry() *Registry { return new(Registry) }
 
 // Set publishes name=v and synchronously notifies watchers of that name and
 // catch-all watchers. Notification happens outside the lock so watchers may
 // call back into the registry.
 func (r *Registry) Set(name string, v Value) {
 	r.mu.Lock()
-	r.attrs[name] = v
+	r.attrs.Set(name, v)
 	var named, all []func(string, Value)
 	named = append(named, r.watchers[name]...)
 	all = append(all, r.all...)
@@ -47,8 +45,7 @@ func (r *Registry) Set(name string, v Value) {
 func (r *Registry) Get(name string) (Value, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	v, ok := r.attrs[name]
-	return v, ok
+	return r.attrs.Get(name)
 }
 
 // FloatOr returns name as a float, or def when absent.
@@ -65,6 +62,9 @@ func (r *Registry) FloatOr(name string, def float64) float64 {
 func (r *Registry) Watch(name string, fn func(name string, v Value)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.watchers == nil {
+		r.watchers = make(map[string][]func(string, Value))
+	}
 	r.watchers[name] = append(r.watchers[name], fn)
 }
 
@@ -75,20 +75,16 @@ func (r *Registry) WatchAll(fn func(name string, v Value)) {
 	r.all = append(r.all, fn)
 }
 
-// Snapshot returns a copy of the current attribute map as a List.
+// Snapshot returns a copy of the current attributes as a List.
 func (r *Registry) Snapshot() *List {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	l := &List{}
-	for name, v := range r.attrs {
-		l.Set(name, v)
-	}
-	return l
+	return &List{attrs: append([]Attr(nil), r.attrs.attrs...)}
 }
 
 // Len returns the number of published attributes.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.attrs)
+	return r.attrs.Len()
 }

@@ -227,6 +227,36 @@ func dumpFlightRecord(t *testing.T, rec *core.FlightRecord) {
 	t.Logf("flight record dumped to %s", path)
 }
 
+// TestCloseWithinBoundsSilentPeer checks CloseWithin's linger against a
+// peer that went silent: the FIN into the blackhole is cut short at the
+// linger bound, long before the machine's own FIN retry (one RTO, at
+// least RTOMin) would give up, and the connection records fin-timeout.
+func TestCloseWithinBoundsSilentPeer(t *testing.T) {
+	srv, _ := startSink(t, core.DefaultConfig())
+	defer srv.Close()
+	proxy, err := New(srv.Addr().String(), Config{Seed: chaosSeed()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	cfg := core.DefaultConfig()
+	cfg.RTOMin = 10 * time.Second
+	c, err := udpwire.Dial(proxy.Addr(), cfg, 3*time.Second)
+	if err != nil {
+		t.Fatalf("dial through proxy: %v", err)
+	}
+	proxy.Blackhole(time.Second)
+	start := time.Now()
+	c.CloseWithin(100 * time.Millisecond)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("CloseWithin(100ms) returned after %v", took)
+	}
+	if r := c.CloseReason(); r != trace.ReasonFinTimeout {
+		t.Fatalf("close reason %q, want %q", r, trace.ReasonFinTimeout)
+	}
+}
+
 // TestResumeAcrossBlackhole is the acceptance scenario: a connection dialed
 // through chaoswire survives a blackhole longer than its DeadInterval via
 // Resume, and every marked payload queued before and during the outage is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -295,11 +296,11 @@ func TestSendPktFreelistCoversBacklog(t *testing.T) {
 	}
 }
 
-// TestSynAckRetryRearmAllocatesNothing pins the SYNACK retry's re-arm to
-// the cached connection-retry callback: a retry fire allocates exactly what
-// the SYNACK it emits does (its packet and attribute list), and nothing for
-// re-arming itself. A method value built at the call site escapes to the
-// heap, one allocation per accepted handshake leg.
+// TestSynAckRetryRearmAllocatesNothing pins the SYNACK retry to zero
+// allocations: the re-arm reuses the cached connection-retry callback (a
+// method value built at the call site escapes to the heap), and the SYNACK
+// is staged in the machine's scratch packet with the machine's own
+// handshake attribute list, as every other emission is.
 func TestSynAckRetryRearmAllocatesNothing(t *testing.T) {
 	env := &armEnv{}
 	m := NewMachine(DefaultConfig(), env)
@@ -317,11 +318,52 @@ func TestSynAckRetryRearmAllocatesNothing(t *testing.T) {
 	if m.state != stSynRcvd {
 		t.Fatalf("state %s after retries, want syn-rcvd", m.State())
 	}
-	if fired != emitted {
-		t.Fatalf("a SYNACK retry fire allocated %.1f times, its SYNACK %.1f: the re-arm allocated %.1f, want 0",
-			fired, emitted, fired-emitted)
+	if emitted != 0 {
+		t.Fatalf("a SYNACK emission allocated %.1f times, want 0", emitted)
+	}
+	if fired != 0 {
+		t.Fatalf("a SYNACK retry fire allocated %.1f times, want 0", fired)
 	}
 }
+
+// TestEackWithParkedExtentsAllocatesNothing pins the EACK of a lossy
+// receiver: listing and sorting the out-of-order buffer's extents into
+// the machine's scratch EACK list allocates nothing once that list is
+// sized (sort.Slice would allocate a swapper and a closure per ACK).
+func TestEackWithParkedExtentsAllocatesNothing(t *testing.T) {
+	env := &typeEnv{}
+	m := NewMachine(DefaultConfig(), env)
+	m.StartServer()
+	m.HandlePacket(&packet.Packet{Type: packet.SYN, Flags: packet.FlagAck, ConnID: 7, Seq: 1, Wnd: 64})
+	m.HandlePacket(&packet.Packet{Type: packet.ACK, Flags: packet.FlagAck, ConnID: 7, Seq: 2, Ack: m.sndISN + 1, Wnd: 64})
+	if !m.Established() {
+		t.Fatalf("state %s, want established", m.State())
+	}
+	// Park five extents behind a hole at seq 2, in scrambled order.
+	for _, seq := range []uint32{9, 4, 7, 3, 12} {
+		m.HandlePacket(&packet.Packet{
+			Type: packet.DATA, Flags: packet.FlagAck | packet.FlagMarked | packet.FlagMsgEnd, ConnID: 7,
+			Seq: seq, Ack: m.sndISN + 1, Wnd: 64, MsgID: seq, FragCnt: 1, Payload: []byte("parked"),
+		})
+	}
+	if len(m.ooo) != 5 || env.last != packet.EACK {
+		t.Fatalf("%d extents parked, last emission %v; want 5 and an EACK", len(m.ooo), env.last)
+	}
+	if n := testing.AllocsPerRun(100, m.sendAck); n != 0 {
+		t.Fatalf("an EACK listing %d parked extents allocated %.1f times, want 0", len(m.ooo), n)
+	}
+	if want := []uint32{3, 4, 7, 9, 12}; !slices.Equal(m.outEacks, want) {
+		t.Fatalf("EACK lists %v, want %v", m.outEacks, want)
+	}
+}
+
+// typeEnv is a discardEnv that remembers the type of the last emission.
+type typeEnv struct {
+	discardEnv
+	last packet.Type
+}
+
+func (e *typeEnv) Emit(p *packet.Packet) { e.last = p.Type }
 
 // armEnv is a discardEnv whose After reuses one timer holding the last
 // callback armed, so arming a timer allocates nothing itself.

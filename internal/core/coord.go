@@ -39,8 +39,6 @@ type coordinator struct {
 	framesSeen    uint64
 }
 
-func newCoordinator(m *Machine) *coordinator { return &coordinator{m: m} }
-
 // discardUnmarked reports whether Case-1 discarding is active.
 func (c *coordinator) discardUnmarked() bool { return c.discard }
 

@@ -112,8 +112,8 @@ type Machine struct {
 
 	// Receive side.
 	rcvNxt   uint32
-	ooo      map[uint32]*packet.Packet // out-of-order buffer
-	reasm    *reassembler
+	ooo      map[uint32]*packet.Packet // out-of-order buffer, built on first use
+	reasm    reassembler
 	peerTol  float64 // peer's (receiver) declared loss tolerance — our budget when sending
 	localTol float64
 
@@ -129,12 +129,14 @@ type Machine struct {
 	// messages not delivered must stay within peerTol.
 	relMsgsTotal   uint64          // messages offered by the application
 	relMsgsDropped uint64          // messages discarded or skipped (≥1 fragment lost)
-	skippedMsgs    map[uint32]bool // msgIDs with at least one skipped fragment
+	skippedMsgs    map[uint32]bool // msgIDs with at least one skipped fragment (see chargeSkip)
 
-	cc   *congestion
-	rtt  *rttEstimator
-	meas *measurement
-	coo  *coordinator
+	// The machine's components live inline: a connection is one allocation
+	// plus what it actually uses, not one per part.
+	cc   congestion
+	rtt  rttEstimator
+	meas measurement
+	coo  coordinator
 
 	// Forward-erasure repair (see fec.go). The encoder exists only when both
 	// sides negotiated FEC at the handshake; the decoder is built lazily on
@@ -149,7 +151,11 @@ type Machine struct {
 	fecFlushTimer Timer           // partial-group flush timer
 	fecFlushFn    func()          // cached onFecFlush method value
 
-	reg *attr.Registry
+	reg attr.Registry
+
+	// hsAttrs is the attribute list both handshake legs carry, built by
+	// the first of them (see handshakeAttrs).
+	hsAttrs attr.List
 
 	// tr receives structured events at every decision point; nil disables
 	// tracing (see trace.go for the instrumentation wrappers).
@@ -159,7 +165,8 @@ type Machine struct {
 	// flight-recorder ring feeding tr alongside cfg.Tracer, and the black-box
 	// snapshot taken on abnormal close.
 	hs         *Hists
-	flightRing *trace.Ring
+	flightRing *trace.Ring // &ring when Config.FlightEvents > 0, else nil
+	ring       trace.Ring
 	flightRec  *FlightRecord
 
 	// Callbacks.
@@ -171,12 +178,14 @@ type Machine struct {
 
 	// Timers. Every timer callback clears its field on entry (see the
 	// Env.After contract: a fired Timer handle is spent and must not be
-	// retained), and each callback is cached as a method value at
-	// construction so re-arming never allocates a closure.
+	// retained), and each callback is cached as a method value so
+	// re-arming never allocates a closure: at construction for the
+	// connection retry, at first arm for the timers many connections never
+	// run (retransmission, keepalive, pacing).
 	rtxTimer    Timer
 	rtxAt       time.Duration // absolute fire time of the armed rtx timer
 	rtxIsProbe  bool          // armed for a forward-point probe, not an RTO
-	rtxExpireFn func()        // cached onRtxExpire method value (no per-arm closure)
+	rtxExpireFn func()        // cached onRtxExpire method value (see rtxFn)
 	connTimer   Timer
 	connRetryFn func() // cached onConnRetry method value (SYN, SYNACK and FIN retries)
 	measTicker  Timer
@@ -188,10 +197,10 @@ type Machine struct {
 	lastHeard    time.Duration // when the peer was last heard from
 	lastSent     time.Duration // when we last emitted anything
 	liveTimer    Timer
-	liveFn       func()        // cached onLiveTick method value
+	liveFn       func()        // cached onLiveTick method value, set by startLiveness
 	liveInterval time.Duration // keepalive probe period, set by startLiveness
 	paceTimer    Timer         // armed while a paced transmission gap is pending
-	paceFn       func()        // cached onPaceGap method value
+	paceFn       func()        // cached onPaceGap method value, set by the first paced gap
 
 	// Clock (see enter). now is the instant of the entry in progress, read
 	// once from Env.Now by the outermost entry; every timestamp the entry
@@ -204,7 +213,7 @@ type Machine struct {
 	metrics Metrics
 
 	// Receiver-side delivery stats (also exposed in Metrics).
-	arrivals *stats.Arrivals
+	arrivals stats.Arrivals
 
 	// Emission scratch. Every outgoing packet is staged here: the Env.Emit
 	// contract lets the environment borrow the packet only for the duration
@@ -229,31 +238,25 @@ func NewMachine(cfg Config, env Env) *Machine {
 		sndISN: isn,
 		// SYN/SYNACK consume the ISN; data starts at ISN+1, matching the
 		// peer's rcvNxt after the handshake.
-		sndNxt:      isn + 1,
-		sndUna:      isn + 1,
-		rcvNxt:      0,
-		ooo:         make(map[uint32]*packet.Packet),
-		skippedMsgs: make(map[uint32]bool),
-		cc:          newCongestion(&cfg),
-		rtt:         newRTTEstimator(cfg.RTOMin, cfg.RTOMax),
-		reg:         attr.NewRegistry(),
-		localTol:    cfg.LossTolerance,
-		peerWnd:     cfg.RecvWindow,
-		arrivals:    stats.NewArrivals(false),
-		tr:          cfg.Tracer,
-		hs:          cfg.Hists,
+		sndNxt:   isn + 1,
+		sndUna:   isn + 1,
+		rcvNxt:   0,
+		cc:       newCongestion(&cfg),
+		rtt:      newRTTEstimator(cfg.RTOMin, cfg.RTOMax),
+		localTol: cfg.LossTolerance,
+		peerWnd:  cfg.RecvWindow,
+		tr:       cfg.Tracer,
+		hs:       cfg.Hists,
 	}
 	if cfg.FlightEvents > 0 {
-		m.flightRing = trace.NewRing(cfg.FlightEvents)
+		m.ring.Init(cfg.FlightEvents)
+		m.flightRing = &m.ring
 		m.tr = trace.Multi(cfg.Tracer, m.flightRing)
 	}
-	m.reasm = newReassembler(m)
-	m.meas = newMeasurement(m)
-	m.coo = newCoordinator(m)
-	m.rtxExpireFn = m.onRtxExpire
+	m.reasm.m = m
+	m.meas.init(m)
+	m.coo.m = m
 	m.connRetryFn = m.onConnRetry
-	m.paceFn = m.onPaceGap
-	m.liveFn = m.onLiveTick
 	m.reg.Set(attr.LossTolerance, attr.Float(m.localTol))
 	return m
 }
@@ -282,7 +285,7 @@ func (m *Machine) exit(took bool) {
 // Registry returns the connection's shared quality-attribute registry. The
 // transport publishes NET_* metrics there each measurement period; the
 // application may publish its own attributes (e.g. LOSS_TOLERANCE).
-func (m *Machine) Registry() *attr.Registry { return m.reg }
+func (m *Machine) Registry() *attr.Registry { return &m.reg }
 
 // State returns a debugging name for the connection phase.
 func (m *Machine) State() string { return m.state.String() }
@@ -362,7 +365,7 @@ func (m *Machine) sendSyn() {
 		m.synPayload = append(m.synPayload, m.cfg.ResumeToken...)
 		payload = m.synPayload
 	}
-	p := &packet.Packet{
+	m.out = packet.Packet{
 		Type:    packet.SYN,
 		Flags:   packet.FlagAck, // the ack block carries our receive window
 		ConnID:  m.connID,
@@ -372,7 +375,7 @@ func (m *Machine) sendSyn() {
 		Attrs:   m.handshakeAttrs(),
 		Payload: payload,
 	}
-	m.env.Emit(p)
+	m.env.Emit(&m.out)
 	m.armConnRetry()
 }
 
@@ -553,6 +556,7 @@ func (m *Machine) startLiveness() {
 		return
 	}
 	m.liveInterval = interval
+	m.liveFn = m.onLiveTick
 	m.liveTimer = m.env.After(interval, m.liveFn)
 }
 
@@ -725,7 +729,7 @@ func (m *Machine) sendSynAck(tsEcho time.Duration, echo bool) {
 	if echo {
 		flags |= packet.FlagEcho
 	}
-	m.env.Emit(&packet.Packet{
+	m.out = packet.Packet{
 		Type:   packet.SYNACK,
 		Flags:  flags,
 		ConnID: m.connID,
@@ -735,18 +739,21 @@ func (m *Machine) sendSynAck(tsEcho time.Duration, echo bool) {
 		TS:     m.now,
 		TSEcho: tsEcho,
 		Attrs:  m.handshakeAttrs(),
-	})
+	}
+	m.env.Emit(&m.out)
 }
 
-// handshakeAttrs builds the attribute list both handshake legs carry: the
+// handshakeAttrs returns the attribute list both handshake legs carry: the
 // local receiver's loss tolerance, plus its FEC decode preference when
-// repair is enabled.
+// repair is enabled. The list is the machine's own, built by the first leg
+// and refreshed in place by later ones (the tolerance may have changed), so
+// a retransmitted leg allocates nothing.
 func (m *Machine) handshakeAttrs() *attr.List {
-	l := attr.NewList(attr.Attr{Name: attr.LossTolerance, Value: attr.Float(m.localTol)})
+	m.hsAttrs.Set(attr.LossTolerance, attr.Float(m.localTol))
 	if m.cfg.FECGroup > 0 {
-		l.Set(attr.FECGroup, attr.Int(int64(m.cfg.FECGroup)))
+		m.hsAttrs.Set(attr.FECGroup, attr.Int(int64(m.cfg.FECGroup)))
 	}
-	return l
+	return &m.hsAttrs
 }
 
 // maxSynAckRetries bounds SYNACK retransmissions toward a silent initiator.

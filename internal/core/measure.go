@@ -19,7 +19,7 @@ type measurement struct {
 	lost  uint64 // losses detected this period
 	bytes uint64 // acked bytes this period
 
-	smoothedRatio *stats.EWMA
+	smoothedRatio stats.EWMA
 	raw           float64
 	lastRate      float64
 	running       bool
@@ -30,10 +30,11 @@ type measurement struct {
 // ratio.
 const lossRatioAlpha = 0.5
 
-func newMeasurement(m *Machine) *measurement {
-	me := &measurement{m: m, smoothedRatio: stats.NewEWMA(lossRatioAlpha)}
+// init sets up the measurement loop of machine m in place.
+func (me *measurement) init(m *Machine) {
+	me.m = m
+	me.smoothedRatio = *stats.NewEWMA(lossRatioAlpha)
 	me.tickFn = me.onTick
-	return me
 }
 
 func (me *measurement) onSend(n uint64)       { me.sent += n }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/hist"
@@ -35,15 +36,26 @@ type Hists struct {
 	FecRepair *hist.Hist
 }
 
+// histSet is what NewHists allocates: the set, its histograms and all of
+// their counters in one object, since the serve engine builds a set for
+// every connection it accepts.
+type histSet struct {
+	Hists
+	h      [5]hist.Hist
+	counts [4*hist.LatencyBuckets + hist.DepthBuckets]atomic.Uint64
+}
+
 // NewHists builds the standard machine histogram set.
 func NewHists() *Hists {
-	return &Hists{
-		RTT:       hist.NewLatency(hist.MetricRTT),
-		Delivery:  hist.NewLatency(hist.MetricDelivery),
-		AckDelay:  hist.NewLatency(hist.MetricAckDelay),
-		Backlog:   hist.NewDepth(hist.MetricBacklog),
-		FecRepair: hist.NewLatency(hist.MetricFecRepair),
-	}
+	s := new(histSet)
+	c := s.counts[:]
+	c = s.h[0].InitLatency(hist.MetricRTT, c)
+	c = s.h[1].InitLatency(hist.MetricDelivery, c)
+	c = s.h[2].InitLatency(hist.MetricAckDelay, c)
+	c = s.h[3].InitDepth(hist.MetricBacklog, c)
+	s.h[4].InitLatency(hist.MetricFecRepair, c)
+	s.Hists = Hists{RTT: &s.h[0], Delivery: &s.h[1], AckDelay: &s.h[2], Backlog: &s.h[3], FecRepair: &s.h[4]}
+	return &s.Hists
 }
 
 // all returns the histograms in declaration order.
@@ -58,6 +70,16 @@ func (h *Hists) Snapshots() []hist.Snapshot {
 		out = append(out, hh.Snapshot())
 	}
 	return out
+}
+
+// Fold adds every histogram's current state into snaps, a name-sorted set
+// as hist.MergeByName returns, in place (see hist.Fold): what an archive of
+// closed connections' samples takes on each close.
+func (h *Hists) Fold(snaps []hist.Snapshot) []hist.Snapshot {
+	for _, hh := range h.all() {
+		snaps = hist.Fold(snaps, hh)
+	}
+	return snaps
 }
 
 // Summaries condenses the non-empty histograms into quantile summaries —

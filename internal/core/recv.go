@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/attr"
@@ -53,6 +53,9 @@ func (m *Machine) handleData(p *packet.Packet) {
 		reason = trace.ReasonOOO
 		if len(m.ooo) < int(m.cfg.RecvWindow) {
 			if _, dup := m.ooo[p.Seq]; !dup {
+				if m.ooo == nil {
+					m.ooo = make(map[uint32]*packet.Packet)
+				}
 				m.ooo[p.Seq] = clonePacket(p)
 				m.memAdd(guard.ClassOOO, len(p.Payload))
 			}
@@ -162,8 +165,6 @@ type reassembler struct {
 	orphanSkips int // skipped seqs not attributable to an active message
 	accounted   int // bytes charged to the shared ledger (Config.Mem)
 }
-
-func newReassembler(m *Machine) *reassembler { return &reassembler{m: m} }
 
 // addFragment consumes the next in-order fragment, copying its payload into
 // the message buffer (the packet is borrowed and may be reused by the caller).
@@ -319,7 +320,10 @@ func (m *Machine) appendSortedEacks(dst []uint32, limit int) []uint32 {
 		dst = append(dst, seq)
 	}
 	out := dst[start:]
-	sort.Slice(out, func(i, j int) bool { return packet.SeqLT(out[i], out[j]) })
+	// Ordered by circular distance, the order packet.SeqLT defines. A
+	// generic sort with a capture-free comparison allocates nothing, unlike
+	// sort.Slice's reflected swapper and closure.
+	slices.SortFunc(out, func(a, b uint32) int { return int(packet.SeqDiff(a, b)) })
 	if len(out) > limit {
 		// The clipped extents stay unreported this ack: the sender may
 		// retransmit data the receiver already holds. Surface the clip

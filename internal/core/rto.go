@@ -15,8 +15,8 @@ type rttEstimator struct {
 	backoff uint // consecutive RTO expirations (exponential backoff shift)
 }
 
-func newRTTEstimator(min, max time.Duration) *rttEstimator {
-	return &rttEstimator{min: min, max: max, rto: time.Second}
+func newRTTEstimator(min, max time.Duration) rttEstimator {
+	return rttEstimator{min: min, max: max, rto: time.Second}
 }
 
 // Sample folds in a new RTT measurement.

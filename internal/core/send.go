@@ -170,9 +170,7 @@ func (m *Machine) shedBacklog(need int) {
 			break
 		}
 		m.popPending()
-		if !m.skippedMsgs[sp.msgID] {
-			m.skippedMsgs[sp.msgID] = true
-			m.relMsgsDropped++
+		if m.chargeSkip(sp.msgID) {
 			m.metrics.ShedMsgs++
 		}
 		sp.skipped = true
@@ -189,23 +187,52 @@ func (m *Machine) shedBacklog(need int) {
 	}
 }
 
-// getSendPkt takes a sendPkt from the machine's freelist, or allocates one.
-// The caller must overwrite every field (SendMsg assigns a full literal).
+// spSlab is how many sendPkt structs the freelist takes from the heap at a
+// time: one allocation covers the first window of a short-lived
+// connection, and a growing backlog costs one per spSlab packets.
+const spSlab = 16
+
+// getSendPkt takes a sendPkt from the machine's freelist, refilling it with
+// a slab when empty. The caller must overwrite every field (SendMsg assigns
+// a full literal).
 func (m *Machine) getSendPkt() *sendPkt {
-	if n := len(m.spFree); n > 0 {
-		sp := m.spFree[n-1]
-		m.spFree[n-1] = nil
-		m.spFree = m.spFree[:n-1]
-		return sp
+	if len(m.spFree) == 0 {
+		m.growSendPkts()
 	}
-	return new(sendPkt)
+	n := len(m.spFree)
+	sp := m.spFree[n-1]
+	m.spFree[n-1] = nil
+	m.spFree = m.spFree[:n-1]
+	return sp
+}
+
+// growSendPkts refills the empty freelist with a slab of spSlab structs.
+// The first refill also gives the untransmitted queue, the flight and the
+// freelist room for a slab, so a connection that never holds more packets
+// than that sizes its send bookkeeping once instead of growing four slices
+// by append.
+func (m *Machine) growSendPkts() {
+	if cap(m.spFree) == 0 {
+		m.spFree = make([]*sendPkt, 0, spSlab)
+	}
+	if cap(m.pending) == 0 {
+		m.pending = make([]*sendPkt, 0, spSlab)
+	}
+	if cap(m.flight) == 0 {
+		m.flight = make([]*sendPkt, 0, spSlab)
+	}
+	slab := make([]sendPkt, spSlab)
+	for i := range slab {
+		m.spFree = append(m.spFree, &slab[i])
+	}
 }
 
 // putSendPkt returns a sendPkt whose flight is over to the freelist. The
 // payload and attribute references are dropped so the freelist never pins
 // application data. The list has no cap: getSendPkt allocates only when it
 // is empty, so it never holds more structs than the connection once had
-// live at the same time (send backlog plus flight). A cap below that peak
+// live at the same time (send backlog plus flight), plus the rest of the
+// last slab. A cap below that peak
 // — a 512-packet backlog behind a 512-packet window — turns every drain and
 // refill of the backlog into fresh allocations.
 func (m *Machine) putSendPkt(sp *sendPkt) {
@@ -300,10 +327,7 @@ func (m *Machine) trySend() {
 		// Expired unmarked data is abandoned before its first transmission
 		// (deadline-based partial reliability), tolerance permitting.
 		if sp.deadline > 0 && !sp.marked() && m.now > sp.deadline && m.canSkipFragment(sp) {
-			if !m.skippedMsgs[sp.msgID] {
-				m.skippedMsgs[sp.msgID] = true
-				m.relMsgsDropped++
-			}
+			m.chargeSkip(sp.msgID)
 			sp.skipped = true
 			m.metrics.DeadlineDrops++
 			if m.tr != nil {
@@ -337,10 +361,7 @@ func (m *Machine) pacedSend() {
 	for m.pendingLen() > 0 && float64(m.inFlightCount()) < m.effectiveWindow() {
 		sp := m.popPending()
 		if sp.deadline > 0 && !sp.marked() && m.now > sp.deadline && m.canSkipFragment(sp) {
-			if !m.skippedMsgs[sp.msgID] {
-				m.skippedMsgs[sp.msgID] = true
-				m.relMsgsDropped++
-			}
+			m.chargeSkip(sp.msgID)
 			sp.skipped = true
 			m.metrics.DeadlineDrops++
 			if m.tr != nil {
@@ -360,6 +381,9 @@ func (m *Machine) pacedSend() {
 			if interval < 100*time.Microsecond {
 				interval = 100 * time.Microsecond
 			}
+		}
+		if m.paceFn == nil {
+			m.paceFn = m.onPaceGap
 		}
 		m.paceTimer = m.env.After(interval, m.paceFn)
 		return
@@ -668,13 +692,26 @@ func (m *Machine) canSkipFragment(sp *sendPkt) bool {
 	return m.withinTolerance(1)
 }
 
+// chargeSkip records that message msgID lost a fragment, charging it to
+// the adaptive-reliability budget once; it reports whether this was the
+// first charge. The set is built on the first skip: most connections never
+// skip anything.
+func (m *Machine) chargeSkip(msgID uint32) bool {
+	if m.skippedMsgs[msgID] {
+		return false
+	}
+	if m.skippedMsgs == nil {
+		m.skippedMsgs = make(map[uint32]bool)
+	}
+	m.skippedMsgs[msgID] = true
+	m.relMsgsDropped++
+	return true
+}
+
 // skipPacket abandons an unmarked packet: the receiver is told to advance
 // past it via the forward-seq mechanism.
 func (m *Machine) skipPacket(sp *sendPkt) {
-	if !m.skippedMsgs[sp.msgID] {
-		m.skippedMsgs[sp.msgID] = true
-		m.relMsgsDropped++
-	}
+	m.chargeSkip(sp.msgID)
 	if !sp.done() {
 		m.inFlight--
 	}
@@ -746,7 +783,7 @@ func (m *Machine) armRtx() {
 			m.stopRtx()
 			m.rtxIsProbe = true
 			m.rtxAt = m.now + m.rtt.RTO()
-			m.rtxTimer = m.env.After(m.rtt.RTO(), m.rtxExpireFn)
+			m.rtxTimer = m.env.After(m.rtt.RTO(), m.rtxFn())
 			return
 		}
 		// An armed RTO timer is left in place rather than cancelled: its
@@ -768,7 +805,7 @@ func (m *Machine) armRtx() {
 		delay = 0
 	}
 	m.rtxAt = deadline
-	m.rtxTimer = m.env.After(delay, m.rtxExpireFn)
+	m.rtxTimer = m.env.After(delay, m.rtxFn())
 }
 
 // stopRtx cancels the retransmission timer and clears its deadline state.
@@ -781,8 +818,17 @@ func (m *Machine) stopRtx() {
 	m.rtxIsProbe = false
 }
 
+// rtxFn returns the cached retransmission-timer callback, built on first
+// use: a connection that never sends data never arms the timer.
+func (m *Machine) rtxFn() func() {
+	if m.rtxExpireFn == nil {
+		m.rtxExpireFn = m.onRtxExpire
+	}
+	return m.rtxExpireFn
+}
+
 // onRtxExpire is the single retransmission-timer callback (cached in
-// rtxExpireFn so arming the timer never allocates a closure). The timer has
+// rtxExpireFn so re-arming the timer never allocates a closure). The timer has
 // fired, so its pending state is cleared before dispatching.
 func (m *Machine) onRtxExpire() {
 	defer m.exit(m.enter())

@@ -47,10 +47,16 @@ type XOR struct{}
 // Name implements Codec.
 func (XOR) Name() string { return "xor" }
 
-// Fold implements Codec; for XOR the group index is irrelevant.
+// Fold implements Codec; for XOR the group index is irrelevant. A short
+// accumulator is zero-extended in one step, so growing it to a unit's
+// length costs at most one allocation, and none within its capacity.
 func (XOR) Fold(acc, unit []byte, _ int) []byte {
-	for len(acc) < len(unit) {
-		acc = append(acc, 0)
+	if n := len(acc); n < len(unit) {
+		if cap(acc) < len(unit) {
+			acc = append(make([]byte, 0, len(unit)), acc...)
+		}
+		acc = acc[:len(unit)]
+		clear(acc[n:])
 	}
 	for i, b := range unit {
 		acc[i] ^= b
@@ -235,14 +241,13 @@ func (e *Encoder) Flush() (base uint32, span int, parity []byte, ok bool) {
 	}
 	base, span, parity = e.base, e.n, e.acc
 	e.n = 0
-	// acc's storage is handed out until the next Add; reacquire lazily.
-	e.acc = nil
+	// The next group folds into the same storage: the caller's borrow of
+	// the parity ends at the next Add.
+	e.acc = e.acc[:0]
 	return base, span, parity, true
 }
 
 func (e *Encoder) reset() {
 	e.n = 0
-	if e.acc != nil {
-		e.acc = e.acc[:0]
-	}
+	e.acc = e.acc[:0]
 }

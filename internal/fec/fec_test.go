@@ -307,3 +307,59 @@ func TestBadRepairRejected(t *testing.T) {
 		t.Error("runt parity accepted")
 	}
 }
+
+// TestEncoderSteadyStateAllocs pins the encoder's storage: once a group of
+// full-size units has been folded and flushed, later groups fold into the
+// same accumulator, so Add and Flush allocate nothing. The parity of each
+// group must still decode, since the storage is reused.
+func TestEncoderSteadyStateAllocs(t *testing.T) {
+	const k = 8
+	e := NewEncoder(XOR{}, k)
+	payload := bytes.Repeat([]byte{0xa5}, 1200)
+	seq := uint32(1)
+	group := func() {
+		for i := 0; i < k; i++ {
+			e.Add(seq, packet.FlagMarked|packet.FlagMsgEnd, seq, 0, 1, nil, payload)
+			seq++
+		}
+		if _, _, _, ok := e.Flush(); !ok {
+			t.Fatal("Flush: no open group")
+		}
+	}
+	group()
+	if n := testing.AllocsPerRun(100, group); n != 0 {
+		t.Fatalf("a group of %d Adds and its Flush allocate %.1f times, want 0", k, n)
+	}
+
+	// The reused storage still carries exactly the new group's parity.
+	pkts := mkPkts(seq, 4)
+	base, span, parity := encodeGroup(t, NewEncoder(XOR{}, 4), pkts)
+	_, _, reused := encodeGroup(t, e, pkts)
+	if e.Group() != k || !bytes.Equal(reused, parity) {
+		t.Fatalf("parity from reused storage differs from a fresh encoder's")
+	}
+	d := NewDecoder(XOR{}, 0)
+	var recs []Recovered
+	for _, p := range pkts[1:] {
+		recs = d.OnData(p.seq, p.flags, p.msgID, p.frag, p.fragCnt, p.attrs, p.payload, 1, recs)
+	}
+	if recs = d.OnRepair(base, span, reused, pkts[0].seq, 2, recs); len(recs) != 1 {
+		t.Fatalf("got %d recoveries, want 1", len(recs))
+	}
+	checkRecovered(t, recs[0], pkts[0])
+}
+
+// TestXORFoldGrowsOnce pins how a short accumulator — a decoder group's
+// first unit, or a longer unit than the group has seen — grows: in one
+// step, zero-extended, not one byte at a time through repeated append.
+func TestXORFoldGrowsOnce(t *testing.T) {
+	unit := bytes.Repeat([]byte{0x5a}, 1200)
+	short := []byte{1, 2}
+	if n := testing.AllocsPerRun(100, func() { XOR{}.Fold(short[:2:2], unit, 0) }); n > 1 {
+		t.Fatalf("growing a 2-byte accumulator to %d bytes allocates %.1f times, want at most 1", len(unit), n)
+	}
+	acc := XOR{}.Fold(short, unit, 0)
+	if short[0] != 1 || len(acc) != len(unit) || acc[0] != 1^0x5a || acc[1] != 2^0x5a || acc[2] != 0x5a || acc[len(acc)-1] != 0x5a {
+		t.Fatalf("Fold extended the accumulator wrongly: len %d, head %x, tail %x", len(acc), acc[:3], acc[len(acc)-1])
+	}
+}

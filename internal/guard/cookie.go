@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"net"
 	"sync"
 	"time"
@@ -33,8 +34,11 @@ type CookieSource struct {
 	mu       sync.Mutex
 	lifetime time.Duration
 	keys     [2][cookieKeyLen]byte
-	cur      int       // index of the signing key
-	rotated  time.Time // when keys[cur] became the signing key
+	macs     [2]hash.Hash         // HMAC-SHA256 keyed with keys[i], reset per use
+	msg      [16 + 2 + 4 + 4]byte // MAC input scratch, see macLocked
+	sum      [sha256.Size]byte    // MAC output scratch
+	cur      int                  // index of the signing key
+	rotated  time.Time            // when keys[cur] became the signing key
 }
 
 // NewCookieSource builds a source whose cookies are valid for lifetime
@@ -45,42 +49,34 @@ func NewCookieSource(lifetime time.Duration) *CookieSource {
 	}
 	s := &CookieSource{lifetime: lifetime, rotated: time.Now()}
 	for i := range s.keys {
-		if _, err := rand.Read(s.keys[i][:]); err != nil {
-			panic("guard: no entropy for cookie secrets: " + err.Error())
-		}
+		s.rekey(i)
 	}
 	return s
 }
 
-// key returns the signing slot index for minting (rotating first if the
-// current secret has aged out) or the key bytes for keyID when verifying.
-func (s *CookieSource) signingKey(now time.Time) (int, [cookieKeyLen]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now.Sub(s.rotated) >= s.lifetime {
-		s.cur ^= 1
-		if _, err := rand.Read(s.keys[s.cur][:]); err != nil {
-			panic("guard: no entropy for cookie rotation: " + err.Error())
-		}
-		s.rotated = now
+// rekey draws a fresh secret for slot i and keys its MAC. Called at
+// construction and, with mu held, at rotation.
+func (s *CookieSource) rekey(i int) {
+	if _, err := rand.Read(s.keys[i][:]); err != nil {
+		panic("guard: no entropy for cookie secrets: " + err.Error())
 	}
-	return s.cur, s.keys[s.cur]
-}
-
-func (s *CookieSource) keyByID(id int) [cookieKeyLen]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.keys[id]
+	s.macs[i] = hmac.New(sha256.New, s.keys[i][:])
 }
 
 // Mint returns a fresh cookie binding (addr, connID) until now + lifetime.
 func (s *CookieSource) Mint(addr *net.UDPAddr, connID uint32, now time.Time) []byte {
-	id, key := s.signingKey(now)
 	expiry := uint32(now.Add(s.lifetime).Unix())
 	c := make([]byte, 0, CookieLen)
-	c = append(c, byte(id))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if now.Sub(s.rotated) >= s.lifetime {
+		s.cur ^= 1
+		s.rekey(s.cur)
+		s.rotated = now
+	}
+	c = append(c, byte(s.cur))
 	c = binary.BigEndian.AppendUint32(c, expiry)
-	return append(c, cookieMAC(key, addr, connID, expiry)...)
+	return append(c, s.macLocked(s.cur, addr, connID, expiry)...)
 }
 
 // Verify reports whether cookie is an unexpired cookie this source minted
@@ -93,17 +89,24 @@ func (s *CookieSource) Verify(cookie []byte, addr *net.UDPAddr, connID uint32, n
 	if now.Unix() > int64(expiry) {
 		return false
 	}
-	key := s.keyByID(int(cookie[0]))
-	return hmac.Equal(cookie[5:], cookieMAC(key, addr, connID, expiry))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return hmac.Equal(cookie[5:], s.macLocked(int(cookie[0]), addr, connID, expiry))
 }
 
-func cookieMAC(key [cookieKeyLen]byte, addr *net.UDPAddr, connID uint32, expiry uint32) []byte {
-	mac := hmac.New(sha256.New, key[:])
-	var msg [16 + 2 + 4 + 4]byte
+// macLocked computes the truncated MAC of (addr, connID, expiry) under key
+// slot id into s.sum and returns it; it is valid until mu is released. The
+// keyed MAC and both buffers are reused rather than rebuilt per cookie, so
+// minting and verifying allocate nothing for the MAC.
+func (s *CookieSource) macLocked(id int, addr *net.UDPAddr, connID uint32, expiry uint32) []byte {
+	msg := &s.msg
+	*msg = [len(s.msg)]byte{} // an address without a 16-byte form MACs as zeros
 	copy(msg[:16], addr.IP.To16())
 	binary.BigEndian.PutUint16(msg[16:], uint16(addr.Port))
 	binary.BigEndian.PutUint32(msg[18:], connID)
 	binary.BigEndian.PutUint32(msg[22:], expiry)
+	mac := s.macs[id]
+	mac.Reset()
 	mac.Write(msg[:])
-	return mac.Sum(nil)[:cookieMACLen]
+	return mac.Sum(s.sum[:0])[:cookieMACLen]
 }

@@ -1,6 +1,10 @@
 package guard
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -68,6 +72,40 @@ func TestCookieExpiryAndRotation(t *testing.T) {
 	_ = s.Mint(addr, 3, now.Add(5*time.Second)) // triggers rotation
 	if !s.Verify(c2, addr, 2, now.Add(4*time.Second)) {
 		t.Fatal("pre-rotation cookie rejected within lifetime")
+	}
+}
+
+// TestCookieMACReused pins the cookie bytes to HMAC-SHA256 over (source
+// IP, port, ConnID, expiry) under the signing secret, truncated, across a
+// rotation, and the keyed MACs' reuse: verifying allocates nothing and
+// minting only the cookie it returns.
+func TestCookieMACReused(t *testing.T) {
+	s := NewCookieSource(5 * time.Second)
+	addr := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 4242}
+	now := time.Now()
+	for _, at := range []time.Time{now, now.Add(6 * time.Second)} {
+		c := s.Mint(addr, 7, at)
+		key := s.keys[c[0]]
+		mac := hmac.New(sha256.New, key[:])
+		var msg [26]byte
+		copy(msg[:16], addr.IP.To16())
+		binary.BigEndian.PutUint16(msg[16:], uint16(addr.Port))
+		binary.BigEndian.PutUint32(msg[18:], 7)
+		copy(msg[22:], c[1:5])
+		mac.Write(msg[:])
+		if want := mac.Sum(nil)[:cookieMACLen]; !bytes.Equal(c[5:], want) {
+			t.Fatalf("cookie MAC %x, want %x", c[5:], want)
+		}
+		if !s.Verify(c, addr, 7, at) {
+			t.Fatal("fresh cookie rejected")
+		}
+	}
+	c := s.Mint(addr, 7, now.Add(6*time.Second))
+	if n := testing.AllocsPerRun(100, func() { s.Verify(c, addr, 7, now.Add(6*time.Second)) }); n != 0 {
+		t.Fatalf("Verify allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Mint(addr, 7, now.Add(6*time.Second)) }); n != 1 {
+		t.Fatalf("Mint allocates %.1f times, want 1 (the cookie)", n)
 	}
 }
 

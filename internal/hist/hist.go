@@ -26,6 +26,8 @@ package hist
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -104,13 +106,21 @@ type Hist struct {
 // one-bucket degenerate histogram; callers should use the New*Hist
 // constructors for the standard metrics.
 func New(name string, unit Unit, max uint64) *Hist {
-	n := bucketIndex(max) + 2 // + last in-range bucket, + overflow
-	return &Hist{
-		name:   name,
-		unit:   unit,
-		limit:  max,
-		counts: make([]atomic.Uint64, n),
-	}
+	h := new(Hist)
+	h.init(name, unit, max, make([]atomic.Uint64, buckets(max)))
+	return h
+}
+
+// buckets is the number of counters a histogram covering [0, max] holds:
+// through the last in-range bucket, plus the overflow bucket.
+func buckets(max uint64) int { return bucketIndex(max) + 2 }
+
+// init makes h, the zero Hist, a histogram like New(name, unit, max)
+// recording into the front of counts, and returns the rest of counts.
+func (h *Hist) init(name string, unit Unit, max uint64, counts []atomic.Uint64) []atomic.Uint64 {
+	n := buckets(max)
+	h.name, h.unit, h.limit, h.counts = name, unit, max, counts[:n:n]
+	return counts[n:]
 }
 
 // Name returns the metric name this histogram records.
@@ -255,6 +265,32 @@ func (s Snapshot) Summary() Summary {
 		P99:   s.Quantile(0.99) * k,
 		P999:  s.Quantile(0.999) * k,
 	}
+}
+
+// Fold adds h's current state into snaps, a name-sorted set of distinct
+// metrics as MergeByName returns, and returns the set: in place when the
+// set holds h's metric (a layout mismatch is ignored, as in Merge), else by
+// inserting a snapshot of h at its sorted position. Folding a source's
+// histograms one by one into an archive gives what MergeByName gives for
+// the archive plus the source's snapshots, without copying them first.
+func Fold(snaps []Snapshot, h *Hist) []Snapshot {
+	i, found := slices.BinarySearchFunc(snaps, h.name, func(s Snapshot, name string) int {
+		return strings.Compare(s.Name, name)
+	})
+	if !found {
+		return slices.Insert(snaps, i, h.Snapshot())
+	}
+	s := &snaps[i]
+	if s.Unit != h.unit || len(s.Counts) != len(h.counts) {
+		return snaps
+	}
+	s.Sum += h.sum.Load()
+	for j := range h.counts {
+		c := h.counts[j].Load()
+		s.Counts[j] += c
+		s.Count += c
+	}
+	return snaps
 }
 
 // MergeByName groups snapshots by metric name, merging duplicates, and

@@ -3,6 +3,8 @@ package hist
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -177,6 +179,56 @@ func TestMergeByName(t *testing.T) {
 	a.Record(100)
 	if merged[0].Counts[bucketIndex(100)] != before {
 		t.Error("merged snapshot aliases live histogram storage")
+	}
+}
+
+// TestFoldMatchesMergeByName checks that folding sources one histogram at
+// a time into an archive gives what MergeByName gives for the archive plus
+// the sources' snapshots, inserting new metrics in name order, that a fold
+// copies rather than aliases, and that folding into a metric the archive
+// already holds allocates nothing.
+func TestFoldMatchesMergeByName(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var archive, merged []Snapshot
+	for round := 0; round < 4; round++ {
+		src := []*Hist{NewLatency(MetricRTT), NewLatency(MetricAckDelay), NewDepth(MetricBacklog)}
+		if round == 2 {
+			src = append(src, NewLatency(MetricDelivery)) // a metric first seen mid-way
+		}
+		for _, h := range src {
+			for i := 0; i < 50; i++ {
+				h.Record(rng.Int63n(int64(time.Second)))
+			}
+			archive = Fold(archive, h)
+			merged = MergeByName(append(merged, h.Snapshot()))
+		}
+		if !reflect.DeepEqual(archive, merged) {
+			t.Fatalf("round %d: folded archive differs from MergeByName", round)
+		}
+	}
+	rtt := func(snaps []Snapshot) uint64 {
+		return snaps[slices.IndexFunc(snaps, func(s Snapshot) bool { return s.Name == MetricRTT })].Count
+	}
+	h := NewLatency(MetricRTT)
+	h.Record(5)
+	archive = Fold(archive, h)
+	h.Record(5)
+	if got, want := rtt(archive), rtt(merged)+1; got != want {
+		t.Fatalf("folded rtt count %d, want %d: the archive aliases the source", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { archive = Fold(archive, h) }); n != 0 {
+		t.Fatalf("folding into a held metric allocates %.1f times, want 0", n)
+	}
+}
+
+// TestStandardBucketCounts keeps the exported counter counts, which size
+// histograms allocated with their owner, equal to what New allocates.
+func TestStandardBucketCounts(t *testing.T) {
+	if n := len(NewLatency(MetricRTT).counts); LatencyBuckets != n {
+		t.Errorf("LatencyBuckets = %d, a latency histogram holds %d", LatencyBuckets, n)
+	}
+	if n := len(NewDepth(MetricBacklog).counts); DepthBuckets != n {
+		t.Errorf("DepthBuckets = %d, a depth histogram holds %d", DepthBuckets, n)
 	}
 }
 

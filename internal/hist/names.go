@@ -1,6 +1,9 @@
 package hist
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // The histogram metric names form a closed vocabulary, like the trace
 // Reason*/Kind* constants: the Prometheus series name, the expvar key, the
@@ -60,6 +63,26 @@ const (
 	maxDepth   = 1 << 20
 	maxBatch   = 1 << 12
 )
+
+// LatencyBuckets and DepthBuckets are the counters a standard latency or
+// depth histogram holds, for owners that allocate the counters together
+// with their histograms (see InitLatency).
+const (
+	LatencyBuckets = 271 // buckets(maxLatency)
+	DepthBuckets   = 146 // buckets(maxDepth)
+)
+
+// InitLatency makes h, the zero Hist, the histogram NewLatency(name)
+// returns, recording into counts[:LatencyBuckets]; it returns the rest of
+// counts.
+func (h *Hist) InitLatency(name string, counts []atomic.Uint64) []atomic.Uint64 {
+	return h.init(name, Seconds, maxLatency, counts)
+}
+
+// InitDepth is InitLatency for NewDepth, taking DepthBuckets counters.
+func (h *Hist) InitDepth(name string, counts []atomic.Uint64) []atomic.Uint64 {
+	return h.init(name, Count, maxDepth, counts)
+}
 
 // NewLatency returns a Seconds histogram for one of the latency metrics.
 func NewLatency(name string) *Hist { return New(name, Seconds, maxLatency) }

@@ -3,9 +3,12 @@ package serve
 import (
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/cercs/iqrudp/internal/packet"
+	"github.com/cercs/iqrudp/internal/udpwire"
 	"github.com/cercs/iqrudp/internal/uio"
 )
 
@@ -118,5 +121,85 @@ func TestRouteDataAckAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, round); n != runN {
 		t.Fatalf("run of %d DATA allocates %.0f, want %d (the delivered payloads)", runN, n, runN)
+	}
+}
+
+// TestConnCycleAllocs pins what one short-lived connection costs both ends,
+// the churn_guarded benchmark's cycle in process: Dial against an engine
+// that cookie-validates every SYN (Options.AlwaysValidate), send 8 marked
+// 256-byte messages, Close; the accepting side receives until the
+// connection closes and then Closes it too. A cycle must stay within
+// cycleAllocs allocations and cycleBytes bytes, counted over both ends,
+// the test's own message buffers included (≈124 and ≈243 KiB on
+// linux/amd64 with Go 1.24; 277 and 262 KiB before the set-up costs were
+// cut). Both budgets hold under -race: a clean loopback cycle does not go
+// through the packet pool, the one sync.Pool on the path.
+func TestConnCycleAllocs(t *testing.T) {
+	const (
+		cycleAllocs = 160
+		// Most of the bytes are the two 64 KiB delivery queues and the
+		// dialer's 64 KiB of receive buffers.
+		cycleBytes = 262 << 10
+		warm, n    = 50, 300
+	)
+	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second, AlwaysValidate: true})
+	go func() {
+		for {
+			c, err := srv.Accept(0)
+			if err != nil {
+				return
+			}
+			go func() {
+				for {
+					if _, err := c.Recv(0); err != nil {
+						break
+					}
+				}
+				c.Close()
+			}()
+		}
+	}()
+	addr, cfg := srv.Addr().String(), testConfig()
+	cycle := func() {
+		c, err := udpwire.Dial(addr, cfg, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := c.Send(make([]byte, 256), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	// settle waits until the engine has detached every closed connection,
+	// so a window counts whole cycles at both ends.
+	settle := func() {
+		for i := 0; srv.Conns() > 0; i++ {
+			if i == 500 {
+				t.Fatalf("%d connections still attached", srv.Conns())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	settle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		cycle()
+	}
+	settle()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("a connection cycle allocates %.1f times, %.1f KiB", allocs, bytes/1024)
+	if allocs > cycleAllocs {
+		t.Errorf("a connection cycle allocates %.1f times, want at most %d", allocs, cycleAllocs)
+	}
+	if bytes > cycleBytes {
+		t.Errorf("a connection cycle allocates %.1f KiB, want at most %d KiB", bytes/1024, cycleBytes>>10)
 	}
 }

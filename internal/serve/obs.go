@@ -17,7 +17,7 @@ import (
 // document.
 
 // noteClosed archives a detaching connection's observability state: its
-// histogram samples merge into the engine-wide archive and, if it died
+// histogram samples fold into the engine-wide archive in place and, if it died
 // abnormally, its flight record joins the bounded retention ring.
 func (srv *Server) noteClosed(c *udpwire.Conn) {
 	hs := c.Hists()
@@ -28,7 +28,7 @@ func (srv *Server) noteClosed(c *udpwire.Conn) {
 	srv.obsMu.Lock()
 	defer srv.obsMu.Unlock()
 	if hs != nil {
-		srv.archive = hist.MergeByName(append(srv.archive, hs.Snapshots()...))
+		srv.archive = hs.Fold(srv.archive)
 	}
 	if rec != nil {
 		srv.flightTotal++
@@ -207,7 +207,7 @@ func (srv *Server) connConfig() core.Config {
 	}
 	if srv.gov != nil {
 		cfg.Mem = srv.ledger
-		cfg.Pressure = srv.gov.Level
+		cfg.Pressure = srv.levelFn
 	}
 	return cfg
 }

@@ -51,6 +51,7 @@ import (
 	"github.com/cercs/iqrudp/internal/guard"
 	"github.com/cercs/iqrudp/internal/hist"
 	"github.com/cercs/iqrudp/internal/packet"
+	"github.com/cercs/iqrudp/internal/trace"
 	"github.com/cercs/iqrudp/internal/udpwire"
 	"github.com/cercs/iqrudp/internal/uio"
 	"github.com/cercs/iqrudp/internal/wheel"
@@ -193,6 +194,7 @@ type Server struct {
 	cookies       *guard.CookieSource  // address-validation cookie mint
 	ledger        *guard.Ledger        // engine-wide elastic-memory ledger (nil = governor off)
 	gov           *guard.Governor      // brownout ladder over the ledger
+	levelFn       func() int           // gov.Level, cached for every connection's Config.Pressure
 	synLimiter    *guard.PrefixLimiter // per-source-prefix SYN damping
 	synMeter      rateMeter            // engine-wide SYN rate, cookie-mode trigger
 	retrySent     atomic.Uint64        // stateless RETRY challenges emitted
@@ -294,6 +296,7 @@ func newServer(cfg core.Config, opt Options, socks []*net.UDPConn, offload uio.O
 	if opt.MemLimit > 0 {
 		srv.ledger = &guard.Ledger{}
 		srv.gov = guard.NewGovernor(srv.ledger, opt.MemLimit)
+		srv.levelFn = srv.gov.Level
 	}
 	// The transmit queue holds the datagrams a few receive batches provoke
 	// across every shard sharing a socket; enqueueTx blocks rather than
@@ -323,8 +326,9 @@ func newServer(cfg core.Config, opt Options, socks []*net.UDPConn, offload uio.O
 	// Each shard routes transmissions through the shard that owns its
 	// socket's I/O loops (itself on Linux; shard 0 in the single-socket
 	// fallback where len(socks) < Shards).
-	for i := range srv.shards {
-		srv.shards[i].io = srv.shards[i%len(socks)]
+	for i, sh := range srv.shards {
+		sh.io = srv.shards[i%len(socks)]
+		sh.sendToFn, sh.detachFn = sh.io.sendTo, sh.detach
 	}
 	return srv
 }
@@ -410,7 +414,12 @@ func (srv *Server) Close() error {
 		select {
 		case <-done:
 		case <-backstop.C:
-			// CloseWithin bounds each conn; this is a backstop only.
+			// CloseWithin bounds each conn; this is a backstop only. Its
+			// bound runs on the shard's wheel, stopped below, so a drain
+			// still waiting is released first.
+			for _, c := range conns {
+				c.AbortWith(trace.ReasonFinTimeout)
+			}
 		}
 		close(srv.closed)
 		for _, sock := range srv.socks {

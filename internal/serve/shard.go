@@ -67,6 +67,11 @@ type shard struct {
 	rxBatchH   *hist.Hist
 	dispatchH  *hist.Hist
 	wheelLateH *hist.Hist
+
+	// The hooks every accepted connection gets (see udpwire.NewAccepted),
+	// cached once: a method value built per admission escapes to the heap.
+	sendToFn func(b []byte, peer *net.UDPAddr) error // io.sendTo
+	detachFn func(c *udpwire.Conn)                   // detach
 }
 
 // connEntry is one row of a shard's ConnID table: the connection, the peer
@@ -385,9 +390,17 @@ func (sh *shard) acceptSyn(p *packet.Packet, from netip.AddrPort) {
 		sh.route(p, from)
 		return
 	}
+	if srv.draining() {
+		// Close started draining after the check above and may already
+		// have listed the connections to drain: one admitted now would
+		// escape it, its timers left on a wheel Close stops.
+		sh.mu.Unlock()
+		sh.refuse(p, from)
+		return
+	}
 
 	io := sh.io
-	send := io.sendTo
+	send := sh.sendToFn
 	var g *ampGate
 	if !cookieOK {
 		// Admitted without address validation (light load): cap bytes
@@ -398,7 +411,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, from netip.AddrPort) {
 		send = sh.gatedSendTo(g, p.ConnID)
 	}
 	c := udpwire.NewAccepted(sh.wh, srv.connConfig(), io.sock.LocalAddr(), raddr,
-		send, sh.detach)
+		send, sh.detachFn)
 	if g != nil {
 		g.conn.Store(c)
 	}

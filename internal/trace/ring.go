@@ -22,13 +22,19 @@ type Ring struct {
 
 // NewRing returns a ring holding the most recent n events (minimum 1).
 func NewRing(n int) *Ring {
+	r := new(Ring)
+	r.Init(n)
+	return r
+}
+
+// Init makes r, the zero Ring, a ring holding the most recent n events
+// (minimum 1), for a Ring held by value inside its owner.
+func (r *Ring) Init(n int) {
 	if n < 1 {
 		n = 1
 	}
-	return &Ring{
-		n:      uint64(n),
-		chunks: make([]*[ringChunk]Event, (n+ringChunk-1)/ringChunk),
-	}
+	r.n = uint64(n)
+	r.chunks = make([]*[ringChunk]Event, (n+ringChunk-1)/ringChunk)
 }
 
 // Trace implements Tracer.

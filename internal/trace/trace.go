@@ -235,18 +235,22 @@ func (m multi) Trace(ev Event) {
 // Multi returns a Tracer duplicating every event to all non-nil tracers.
 // With zero or one non-nil argument it avoids the fan-out indirection.
 func Multi(tracers ...Tracer) Tracer {
-	out := make(multi, 0, len(tracers))
+	var one Tracer
+	n := 0
+	for _, t := range tracers {
+		if t != nil {
+			one = t
+			n++
+		}
+	}
+	if n <= 1 {
+		return one // nil or the only tracer, without allocating a fan-out
+	}
+	out := make(multi, 0, n)
 	for _, t := range tracers {
 		if t != nil {
 			out = append(out, t)
 		}
 	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	default:
-		return out
-	}
+	return out
 }

@@ -60,14 +60,17 @@ type Conn struct {
 
 	dropped uint64 // deliveries discarded because the queue was full; guarded by mu
 
-	// Dialed-connection TX ring. Emit stages encoded datagrams into reused
-	// slot buffers; flushTxLocked hands the whole ring to the batched writer
-	// (sendmmsg on Linux) at the end of the machine interaction, before the
-	// connection lock is released. All fields are guarded by mu.
+	// Dialed-connection TX ring. Emit stages encoded datagrams into the
+	// ring's reused slot buffers; flushTxLocked hands the staged prefix to
+	// the batched writer (sendmmsg on Linux) at the end of the machine
+	// interaction, before the connection lock is released. The ring is
+	// allocated at the first emission and each slot buffer at its first
+	// use, sized for a full datagram (see txBufSize), so neither grows by
+	// append. All fields are guarded by mu.
 	txb       *uio.TxBatcher
-	txSlots   [][]byte  // per-datagram encode buffers, reused across flushes
-	txN       int       // staged datagrams
-	txMsgs    []uio.Msg // scratch batch handed to txb
+	txRing    []uio.Msg // staged datagrams, txN of them; B are the slot buffers
+	txN       int
+	txBufSize int // slot and txScratch capacity: a full-MSS DATA datagram
 	txFlushes uint64
 
 	// Dialed-connection RX batcher (recvmmsg on Linux): readLoop drains a
@@ -77,15 +80,25 @@ type Conn struct {
 	rxb *uio.RxBatcher
 
 	// Timing-wheel timer backend (see wheeltimer.go): the wheel driving
-	// this connection's machine timers and the freelist of spent handles
-	// awaiting reuse. wh is set at construction; wtFree is guarded by mu.
-	wh     *wheel.Wheel
-	wtFree []*wtimer
+	// this connection's machine timers, the inline handles and the freelist
+	// of spent ones awaiting reuse (backed by wtFreeBuf), and the deadline
+	// bounding Dial or CloseWithin. wh is set at construction; the rest is
+	// guarded by mu.
+	wh        *wheel.Wheel
+	wtFree    []*wtimer
+	wtFreeBuf [connTimers]*wtimer
+	wts       [connTimers]wtimer
+	dl        deadline
 }
 
 // txRingSize bounds the staged datagrams per flush: one machine interaction
 // rarely emits more than a window burst, and an overful ring flushes early.
 const txRingSize = 32
+
+// txHeadroom is the encode-buffer room beyond one MSS of payload: the
+// header with every optional field, the checksum and a small attribute
+// block. A larger datagram gets a buffer of its own size.
+const txHeadroom = 64
 
 // rxBatch is the dialed-connection receive batch: large enough to absorb an
 // ack burst for a window of data in one syscall.
@@ -106,7 +119,7 @@ func (e env) Emit(p *packet.Packet) {
 		// Shared-socket acceptor path: the writer borrows the buffer for the
 		// call only (a writer that queues copies it), so one encode buffer
 		// serves every datagram of the connection.
-		b, err := packet.AppendEncode(c.txScratch[:0], p)
+		b, err := packet.AppendEncode(c.txBuf(c.txScratch), p)
 		if err != nil {
 			return // structurally impossible for machine-built packets
 		}
@@ -119,24 +132,30 @@ func (e env) Emit(p *packet.Packet) {
 	c.stageTx(p)
 }
 
+// txBuf returns buf emptied, allocating it on first use with room for a
+// full-MSS DATA datagram, so an encode buffer is not regrown by append as
+// larger packets follow the small handshake ones.
+func (c *Conn) txBuf(buf []byte) []byte {
+	if cap(buf) == 0 {
+		return make([]byte, 0, c.txBufSize)
+	}
+	return buf[:0]
+}
+
 // stageTx encodes p into the next TX ring slot, reusing the slot's buffer.
 // Called with mu held; a full ring flushes immediately.
 //
 //iqlint:borrow
 func (c *Conn) stageTx(p *packet.Packet) {
-	var buf []byte
-	if c.txN < len(c.txSlots) {
-		buf = c.txSlots[c.txN][:0]
+	if c.txRing == nil {
+		c.txRing = make([]uio.Msg, txRingSize)
 	}
-	b, err := packet.AppendEncode(buf, p)
+	slot := &c.txRing[c.txN]
+	b, err := packet.AppendEncode(c.txBuf(slot.B), p)
 	if err != nil {
 		return // structurally impossible for machine-built packets
 	}
-	if c.txN < len(c.txSlots) {
-		c.txSlots[c.txN] = b
-	} else {
-		c.txSlots = append(c.txSlots, b)
-	}
+	slot.B = b
 	c.txN++
 	if c.txN >= txRingSize {
 		c.flushTxLocked()
@@ -155,11 +174,7 @@ func (c *Conn) flushTxLocked() {
 	}
 	n := c.txN
 	c.txN = 0
-	c.txMsgs = c.txMsgs[:0]
-	for i := 0; i < n; i++ {
-		c.txMsgs = append(c.txMsgs, uio.Msg{B: c.txSlots[i]})
-	}
-	sent, err := c.txb.Send(c.txMsgs)
+	sent, err := c.txb.Send(c.txRing[:n])
 	c.txFlushes++
 	if sent < n {
 		c.m.NoteTxError(uint64(n-sent), err)
@@ -173,9 +188,12 @@ func (e env) Deliver(msg core.Message) {
 	select {
 	case e.c.msgs <- msg:
 	default:
-		// Queue full: drop-newest keeps the connection live; the transport's
-		// own reliability already ran its course, so this is an
-		// application-side overrun, counted for visibility.
+		// Queue full: drop-newest keeps the connection live, at a price.
+		// The machine already acknowledged the message — a marked one
+		// too — so the sender will not resend it and is never told: the
+		// application loses it silently, and only the count shows it. A
+		// delivery queue that advertises its free room as the receive
+		// window (a ROADMAP item) would back-pressure the sender instead.
 		e.c.dropped++
 	}
 }
@@ -192,11 +210,24 @@ func newConn(cfg core.Config, sock *net.UDPConn, peer *net.UDPAddr, wh *wheel.Wh
 		established: make(chan struct{}),
 		closed:      make(chan struct{}),
 		wh:          wh,
+		txBufSize:   cfg.MSS + txHeadroom,
 	}
+	c.initTimers()
 	c.m = core.NewMachine(cfg, env{c})
-	c.m.OnEstablished(func() { c.estOnce.Do(func() { close(c.established) }) })
-	c.m.OnClosed(func() { c.closeOnce.Do(func() { close(c.closed) }) })
+	signal := c.signal // one method value serves both hooks
+	c.m.OnEstablished(signal)
+	c.m.OnClosed(signal)
 	return c
+}
+
+// signal is the machine's OnEstablished and OnClosed hook: it closes the
+// channel matching the machine's new state. Called with mu held.
+func (c *Conn) signal() {
+	if c.m.CloseReason() != "" {
+		c.closeOnce.Do(func() { close(c.closed) })
+	} else if c.m.Established() {
+		c.estOnce.Do(func() { close(c.established) })
+	}
 }
 
 // NewAccepted builds the passive side of a connection for the serve
@@ -272,26 +303,28 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 	c.mu.Lock()
 	c.m.StartClient()
 	c.flushTxLocked()
+	c.armDeadline(timeout, trace.ReasonHandshakeTimeout)
 	c.mu.Unlock()
-	deadline := time.NewTimer(timeout) //iqlint:ignore timeafterloop -- one-shot dial deadline; the goroutine blocks on channel receive, which a wheel callback cannot serve
-	defer deadline.Stop()
 	select {
 	case <-c.established:
-		return c, nil
 	case <-c.closed:
-		// Died before establishment: RST from the server (refused) or a
-		// socket failure underneath the dial. Tear resources down, then
-		// surface the machine's recorded reason as a typed error.
-		c.Close()
-		err := c.Err()
-		if err == ErrClosed {
-			err = ErrRefused // pre-establishment death with no richer reason
-		}
-		return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
-	case <-deadline.C:
-		c.abortWith(trace.ReasonHandshakeTimeout)
-		return nil, &OpError{Op: "dial", Addr: raddr, Err: ErrHandshakeTimeout}
 	}
+	c.mu.Lock()
+	c.stopDeadline()
+	c.mu.Unlock()
+	if c.Handshaked() {
+		return c, nil
+	}
+	// Died before establishment: RST from the server (refused), a socket
+	// failure underneath the dial, or the handshake deadline. Tear
+	// resources down, then surface the machine's recorded reason as a typed
+	// error.
+	c.Close()
+	err = c.Err()
+	if err == ErrClosed {
+		err = ErrRefused // pre-establishment death with no richer reason
+	}
+	return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
 }
 
 // sizeSockBufs sets a dialed socket's receive and send buffers to
@@ -563,7 +596,9 @@ func (c *Conn) TxFlushes() uint64 {
 func (c *Conn) SockBufErrs() uint64 { return c.sockBufErrs }
 
 // DroppedDeliveries counts messages discarded because the application did
-// not drain the receive queue.
+// not drain the receive queue. Each had already been acknowledged to the
+// sender, marked messages included, so the sender will not resend it: a
+// nonzero count means the application lost data the transport delivered.
 func (c *Conn) DroppedDeliveries() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -602,20 +637,16 @@ func (c *Conn) CloseWithin(linger time.Duration) error {
 	c.mu.Lock()
 	c.m.Close()
 	c.flushTxLocked()
-	c.mu.Unlock()
-	lingerT := time.NewTimer(linger) //iqlint:ignore timeafterloop -- one-shot close linger; the caller blocks on channel receive
-	defer lingerT.Stop()
-	select {
-	case <-c.closed:
-	case <-lingerT.C:
-		// The graceful drain outlived its bound: force the machine dead with
-		// a typed reason (timers are gated on c.closed, so without this the
-		// machine would be frozen mid-FIN with no recorded close reason).
-		c.mu.Lock()
-		c.m.AbortWith(trace.ReasonFinTimeout)
-		c.mu.Unlock()
-		c.closeOnce.Do(func() { close(c.closed) })
+	if !c.Closed() {
+		// Past linger the deadline cuts the graceful drain short and
+		// records why: the machine dies with ReasonFinTimeout.
+		c.armDeadline(linger, trace.ReasonFinTimeout)
 	}
+	c.mu.Unlock()
+	<-c.closed
+	c.mu.Lock()
+	c.stopDeadline()
+	c.mu.Unlock()
 	if c.ownSocket {
 		c.sock.Close()
 	}

@@ -18,7 +18,7 @@ import (
 // Correctness leans on two layers:
 //   - the wheel's generation counter: Arm and Stop bump it under the wheel
 //     lock, and a dispatched callback carries the generation of the arm
-//     that scheduled it. fire compares that against the handle's current
+//     that scheduled it. Fire compares that against the handle's current
 //     generation under c.mu, so a Stop or re-arm that beat the dispatch to
 //     the lock suppresses it — Stop under c.mu is absolute.
 //   - the core.Timer recycling contract (internal/core/env.go): the machine
@@ -26,10 +26,10 @@ import (
 //     recycled by the freelist is never reachable through a stale machine
 //     field.
 //
-// Deadline timers that guard blocking calls (Dial, Recv, CloseWithin,
-// Accept) stay on runtime timers: they are per-call, not per-packet, and
-// their goroutines block on channel receive, which a wheel callback cannot
-// serve.
+// The bounds of Dial and CloseWithin run on the wheel too (see deadline):
+// their expiry aborts the machine, which closes the channel the caller
+// blocks on. Recv's and the engine's Accept deadlines stay on runtime
+// timers: they are per call and end in a timeout error, not a teardown.
 
 // defaultWheel drives the timers of dialed connections; serve shards run
 // their own wheels (NewAccepted). Lazily started, never stopped: one
@@ -47,14 +47,36 @@ func DefaultWheel() *wheel.Wheel {
 	return defaultWheel
 }
 
-// wtimer adapts one wheel handle to core.Timer for one connection. Fired
-// and stopped handles return to the connection's freelist (c.wtFree) and
-// are reused by later After calls; all state is guarded by c.mu.
+// wtimer adapts one wheel handle to core.Timer for one connection. The
+// handles live inline in the Conn (Conn.wts) and dispatch to themselves, so
+// a connection's timers cost no allocation; fired and stopped handles return
+// to the connection's freelist (c.wtFree) and are reused by later After
+// calls. All state is guarded by c.mu.
 type wtimer struct {
+	wt   wheel.Timer // dispatches to this wtimer's Fire
 	c    *Conn
-	wt   *wheel.Timer
 	fn   func() // machine callback for the current arm
 	free bool   // on the freelist (spent), not currently owned by a machine field
+}
+
+// connTimers is how many handles a connection holds inline: one per machine
+// timer (retransmission, connection retry, measurement, keepalive, pacing,
+// FEC flush), the most the machine owns at once. After allocates a handle
+// only if they are all owned.
+const connTimers = 6
+
+// initTimers puts the connection's inline handles on its freelist and
+// binds its deadline to the wheel.
+func (c *Conn) initTimers() {
+	c.wtFree = c.wtFreeBuf[:0]
+	for i := range c.wts {
+		t := &c.wts[i]
+		t.c, t.free = c, true
+		c.wh.Init(&t.wt, t)
+		c.wtFree = append(c.wtFree, t)
+	}
+	c.dl.c = c
+	c.wh.Init(&c.dl.wt, &c.dl)
 }
 
 // Stop implements core.Timer. Called with c.mu held (all machine
@@ -72,12 +94,12 @@ func (t *wtimer) Stop() bool {
 	return was
 }
 
-// fire is the wheel-goroutine callback (fixed at handle creation). It
+// Fire implements wheel.Handler; it runs on the wheel goroutine. It
 // re-locks the connection, validates the generation, recycles the handle
 // before running the machine callback (so an in-callback re-arm can reuse
 // it), and finishes the machine interaction like every other driver entry
 // point by flushing staged TX.
-func (t *wtimer) fire(gen uint64) {
+func (t *wtimer) Fire(gen uint64) {
 	c := t.c
 	c.mu.Lock()
 	if t.free || gen != t.wt.Gen() {
@@ -99,8 +121,8 @@ func (t *wtimer) fire(gen uint64) {
 	c.mu.Unlock()
 }
 
-// After implements core.Env. Called with c.mu held. Steady state pops a
-// spent handle from the freelist and re-arms it: no allocation.
+// After implements core.Env. Called with c.mu held. It pops a spent handle
+// from the freelist and re-arms it: no allocation.
 func (e env) After(d time.Duration, fn func()) core.Timer {
 	c := e.c
 	var t *wtimer
@@ -111,9 +133,60 @@ func (e env) After(d time.Duration, fn func()) core.Timer {
 		t.free = false
 	} else {
 		t = &wtimer{c: c}
-		t.wt = c.wh.NewTimer(t.fire)
+		c.wh.Init(&t.wt, t)
 	}
 	t.fn = fn
 	t.wt.Arm(d)
 	return t
+}
+
+// deadline bounds a call that blocks on the connection — Dial's handshake,
+// CloseWithin's linger — on the connection's wheel, so neither takes a
+// runtime timer. When it fires it aborts the machine with reason, which
+// closes c.closed and wakes the caller. Guarded by c.mu.
+type deadline struct {
+	wt     wheel.Timer // dispatches to this deadline's Fire
+	c      *Conn
+	armed  bool
+	at     time.Duration // expiry of the armed deadline, on c.epoch's clock
+	reason string
+}
+
+// armDeadline bounds a blocking call to d from now, aborting with reason
+// when it passes. The earliest armed deadline wins, so concurrent callers
+// (an application Close racing the engine's drain) each wait at most their
+// own bound. Called with c.mu held.
+func (c *Conn) armDeadline(d time.Duration, reason string) {
+	dl := &c.dl
+	at := time.Since(c.epoch) + d
+	if dl.armed && dl.at <= at {
+		return
+	}
+	dl.armed, dl.at, dl.reason = true, at, reason
+	dl.wt.Arm(d)
+}
+
+// stopDeadline disarms the deadline once the blocking call it bounds has
+// returned, so the wheel drops its reference to the connection. Called with
+// c.mu held; a dispatch already popped sees the bumped generation and does
+// nothing.
+func (c *Conn) stopDeadline() {
+	if c.dl.armed {
+		c.dl.armed = false
+		c.dl.wt.Stop()
+	}
+}
+
+// Fire implements wheel.Handler.
+func (dl *deadline) Fire(gen uint64) {
+	c := dl.c
+	c.mu.Lock()
+	if !dl.armed || gen != dl.wt.Gen() {
+		c.mu.Unlock()
+		return
+	}
+	dl.armed = false
+	c.m.AbortWith(dl.reason)
+	c.mu.Unlock()
+	c.closeOnce.Do(func() { close(c.closed) })
 }

@@ -54,13 +54,29 @@ const (
 	DefaultTick = 500 * time.Microsecond
 )
 
+// Handler receives a timer's expiries. Fire runs on the wheel goroutine
+// with the generation of the Arm call that scheduled it (compare against
+// Timer.Gen to suppress stale dispatches); it must not block and must not
+// call back into the handle's Arm/Stop without external serialisation
+// against the owner.
+type Handler interface {
+	Fire(gen uint64)
+}
+
+// HandlerFunc adapts a function to Handler.
+type HandlerFunc func(gen uint64)
+
+// Fire calls f(gen).
+func (f HandlerFunc) Fire(gen uint64) { f(gen) }
+
 // Timer is one reusable timer handle. A handle belongs to exactly one wheel
 // and one owner: Arm and Stop must be externally serialised per handle (the
-// drivers call both under their connection lock). The callback is fixed at
-// NewTimer; what varies per arm is only the deadline and the generation.
+// drivers call both under their connection lock). The handler is fixed at
+// NewTimer or Init; what varies per arm is only the deadline and the
+// generation.
 type Timer struct {
-	w  *Wheel
-	fn func(gen uint64)
+	w *Wheel
+	h Handler
 
 	gen atomic.Uint64 // bumped on every Arm and Stop (under the wheel lock)
 
@@ -147,13 +163,20 @@ func (w *Wheel) Close() {
 	w.closeOnce.Do(func() { close(w.done) })
 }
 
-// NewTimer builds a reusable handle dispatching fn. The handle starts
-// unarmed. fn runs on the wheel goroutine and receives the generation of
-// the Arm call that scheduled it (compare against Gen to suppress stale
-// dispatches); it must not block and must not call back into this handle's
-// Arm/Stop without external serialisation against the owner.
+// NewTimer builds a reusable handle dispatching fn (see Handler). The
+// handle starts unarmed.
 func (w *Wheel) NewTimer(fn func(gen uint64)) *Timer {
-	return &Timer{w: w, fn: fn, slot: -1}
+	t := new(Timer)
+	w.Init(t, HandlerFunc(fn))
+	return t
+}
+
+// Init makes t an unarmed handle on w dispatching to h, for a Timer held by
+// value inside its owner: a handler that is the owner itself (a pointer)
+// costs no allocation at all. t must be the zero Timer or one no longer
+// armed.
+func (w *Wheel) Init(t *Timer, h Handler) {
+	t.w, t.h, t.slot = w, h, -1
 }
 
 // Gen returns the handle's current generation.
@@ -282,7 +305,7 @@ func (w *Wheel) fireSlot(slot int) {
 		}
 		w.unlinkLocked(t)
 		gen := t.gen.Load()
-		fn := t.fn
+		target := t.h
 		late := time.Since(w.epoch) - t.deadline
 		w.mu.Unlock()
 		if h := w.lateH.Load(); h != nil {
@@ -292,7 +315,7 @@ func (w *Wheel) fireSlot(slot int) {
 			h.RecordDur(late)
 		}
 		w.fires.Add(1)
-		fn(gen)
+		target.Fire(gen)
 	}
 }
 
