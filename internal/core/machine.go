@@ -179,9 +179,8 @@ type Machine struct {
 	// Timers. Every timer callback clears its field on entry (see the
 	// Env.After contract: a fired Timer handle is spent and must not be
 	// retained), and each callback is cached as a method value so
-	// re-arming never allocates a closure: at construction for the
-	// connection retry, at first arm for the timers many connections never
-	// run (retransmission, keepalive, pacing).
+	// re-arming never allocates a closure: at construction, or at first arm
+	// (rtxFn, paceFn) for the timers many connections never run.
 	rtxTimer    Timer
 	rtxAt       time.Duration // absolute fire time of the armed rtx timer
 	rtxIsProbe  bool          // armed for a forward-point probe, not an RTO
@@ -197,10 +196,10 @@ type Machine struct {
 	lastHeard    time.Duration // when the peer was last heard from
 	lastSent     time.Duration // when we last emitted anything
 	liveTimer    Timer
-	liveFn       func()        // cached onLiveTick method value, set by startLiveness
+	liveFn       func()        // cached onLiveTick method value
 	liveInterval time.Duration // keepalive probe period, set by startLiveness
 	paceTimer    Timer         // armed while a paced transmission gap is pending
-	paceFn       func()        // cached onPaceGap method value, set by the first paced gap
+	paceGapFn    func()        // cached onPaceGap method value (see paceFn)
 
 	// Clock (see enter). now is the instant of the entry in progress, read
 	// once from Env.Now by the outermost entry; every timestamp the entry
@@ -257,6 +256,7 @@ func NewMachine(cfg Config, env Env) *Machine {
 	m.meas.init(m)
 	m.coo.m = m
 	m.connRetryFn = m.onConnRetry
+	m.liveFn = m.onLiveTick
 	m.reg.Set(attr.LossTolerance, attr.Float(m.localTol))
 	return m
 }
@@ -556,7 +556,6 @@ func (m *Machine) startLiveness() {
 		return
 	}
 	m.liveInterval = interval
-	m.liveFn = m.onLiveTick
 	m.liveTimer = m.env.After(interval, m.liveFn)
 }
 

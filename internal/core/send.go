@@ -382,10 +382,7 @@ func (m *Machine) pacedSend() {
 				interval = 100 * time.Microsecond
 			}
 		}
-		if m.paceFn == nil {
-			m.paceFn = m.onPaceGap
-		}
-		m.paceTimer = m.env.After(interval, m.paceFn)
+		m.paceTimer = m.env.After(interval, m.paceFn())
 		return
 	}
 	if m.fwdPending && m.pendingLen() == 0 && m.inFlightCount() == 0 {
@@ -825,6 +822,15 @@ func (m *Machine) rtxFn() func() {
 		m.rtxExpireFn = m.onRtxExpire
 	}
 	return m.rtxExpireFn
+}
+
+// paceFn returns the cached pacing-gap callback, built on first use: an
+// unpaced connection never arms the timer.
+func (m *Machine) paceFn() func() {
+	if m.paceGapFn == nil {
+		m.paceGapFn = m.onPaceGap
+	}
+	return m.paceGapFn
 }
 
 // onRtxExpire is the single retransmission-timer callback (cached in

@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -85,7 +87,7 @@ func TestCookieMACReused(t *testing.T) {
 	now := time.Now()
 	for _, at := range []time.Time{now, now.Add(6 * time.Second)} {
 		c := s.Mint(addr, 7, at)
-		key := s.keys[c[0]]
+		key := s.sec.Load().keys[c[0]]
 		mac := hmac.New(sha256.New, key[:])
 		var msg [26]byte
 		copy(msg[:16], addr.IP.To16())
@@ -106,6 +108,37 @@ func TestCookieMACReused(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Mint(addr, 7, now.Add(6*time.Second)) }); n != 1 {
 		t.Fatalf("Mint allocates %.1f times, want 1 (the cookie)", n)
+	}
+}
+
+// TestCookieConcurrentRotation mints and verifies from several goroutines
+// at once, phase by phase across secret rotations: every cookie verifies,
+// whichever MAC slot minted or checks it, and under -race the slots and
+// the secret sets are not shared unsafely.
+func TestCookieConcurrentRotation(t *testing.T) {
+	s := NewCookieSource(time.Second)
+	base := time.Now()
+	var rejected atomic.Int64
+	for phase := 0; phase < 8; phase++ {
+		at := base.Add(time.Duration(phase) * 600 * time.Millisecond)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				addr := &net.UDPAddr{IP: net.IPv4(10, 0, 0, byte(g)), Port: 1000 + g}
+				for k := 0; k < 50; k++ {
+					id := uint32(g*1000 + k)
+					if c := s.Mint(addr, id, at); !s.Verify(c, addr, id, at) {
+						rejected.Add(1)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	if n := rejected.Load(); n != 0 {
+		t.Fatalf("%d fresh cookies rejected", n)
 	}
 }
 

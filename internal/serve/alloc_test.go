@@ -130,7 +130,7 @@ func TestRouteDataAckAllocs(t *testing.T) {
 // 256-byte messages, Close; the accepting side receives until the
 // connection closes and then Closes it too. A cycle must stay within
 // cycleAllocs allocations and cycleBytes bytes, counted over both ends,
-// the test's own message buffers included (≈124 and ≈243 KiB on
+// the test's own message buffers included (≈135 and ≈243 KiB on
 // linux/amd64 with Go 1.24; 277 and 262 KiB before the set-up costs were
 // cut). Both budgets hold under -race: a clean loopback cycle does not go
 // through the packet pool, the one sync.Pool on the path.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,8 +88,13 @@ func (srv *Server) HistSnapshots() []hist.Snapshot {
 			snaps = append(snaps, sh.wheelLateH.Snapshot())
 		}
 	}
+	// noteClosed folds closes into the archive's counters in place, so they
+	// are copied under the lock: MergeByName reads them after it.
 	srv.obsMu.Lock()
-	snaps = append(snaps, srv.archive...)
+	for _, s := range srv.archive {
+		s.Counts = slices.Clone(s.Counts)
+		snaps = append(snaps, s)
+	}
 	srv.obsMu.Unlock()
 	return hist.MergeByName(snaps)
 }

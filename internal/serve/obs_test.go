@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -183,5 +185,73 @@ func TestFlightRecordLRU(t *testing.T) {
 	}
 	if rs[0].ConnID != ids[1] || rs[1].ConnID != ids[2] {
 		t.Fatalf("retained %d,%d; want newest two %d,%d", rs[0].ConnID, rs[1].ConnID, ids[1], ids[2])
+	}
+}
+
+// TestHistSnapshotsWhileConnsClose scrapes HistSnapshots in a loop while
+// connections cycle, so closes fold into the archive during scrapes. Every
+// snapshot a scrape returns must be self-consistent — its bucket counts sum
+// to its Count — and under -race the scrape must not read archive counters
+// a concurrent close is writing.
+func TestHistSnapshotsWhileConnsClose(t *testing.T) {
+	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second})
+	go func() {
+		for {
+			c, err := srv.Accept(0)
+			if err != nil {
+				return
+			}
+			go func() {
+				for {
+					if _, err := c.Recv(0); err != nil {
+						break
+					}
+				}
+				c.Close()
+			}()
+		}
+	}()
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		var err error
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				if n == 0 {
+					err = errors.New("no scrape ran")
+				}
+				scraped <- err
+				return
+			default:
+			}
+			for _, s := range srv.HistSnapshots() {
+				var sum uint64
+				for _, c := range s.Counts {
+					sum += c
+				}
+				if sum != s.Count && err == nil {
+					err = fmt.Errorf("%s: buckets sum to %d, Count %d", s.Name, sum, s.Count)
+				}
+			}
+		}
+	}()
+	addr, cfg := srv.Addr().String(), testConfig()
+	for i := 0; i < 40; i++ {
+		c, err := udpwire.Dial(addr, cfg, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send([]byte("ping"), true); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	for i := 0; srv.Conns() > 0 && i < 500; i++ {
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -51,7 +51,6 @@ import (
 	"github.com/cercs/iqrudp/internal/guard"
 	"github.com/cercs/iqrudp/internal/hist"
 	"github.com/cercs/iqrudp/internal/packet"
-	"github.com/cercs/iqrudp/internal/trace"
 	"github.com/cercs/iqrudp/internal/udpwire"
 	"github.com/cercs/iqrudp/internal/uio"
 	"github.com/cercs/iqrudp/internal/wheel"
@@ -206,7 +205,8 @@ type Server struct {
 	ampCapped     atomic.Uint64        // packets suppressed by the anti-amplification gate
 
 	// Observability retention (see obs.go): merged histograms of closed
-	// connections and the bounded flight-record ring.
+	// connections, whose counters closes update in place, and the bounded
+	// flight-record ring. All guarded by obsMu.
 	obsMu       sync.Mutex
 	archive     []hist.Snapshot
 	flights     []*core.FlightRecord
@@ -414,12 +414,7 @@ func (srv *Server) Close() error {
 		select {
 		case <-done:
 		case <-backstop.C:
-			// CloseWithin bounds each conn; this is a backstop only. Its
-			// bound runs on the shard's wheel, stopped below, so a drain
-			// still waiting is released first.
-			for _, c := range conns {
-				c.AbortWith(trace.ReasonFinTimeout)
-			}
+			// CloseWithin bounds each conn; this is a backstop only.
 		}
 		close(srv.closed)
 		for _, sock := range srv.socks {

@@ -81,14 +81,12 @@ type Conn struct {
 
 	// Timing-wheel timer backend (see wheeltimer.go): the wheel driving
 	// this connection's machine timers, the inline handles and the freelist
-	// of spent ones awaiting reuse (backed by wtFreeBuf), and the deadline
-	// bounding Dial or CloseWithin. wh is set at construction; the rest is
-	// guarded by mu.
+	// of spent ones awaiting reuse (backed by wtFreeBuf). wh is set at
+	// construction; the rest is guarded by mu.
 	wh        *wheel.Wheel
 	wtFree    []*wtimer
 	wtFreeBuf [connTimers]*wtimer
 	wts       [connTimers]wtimer
-	dl        deadline
 }
 
 // txRingSize bounds the staged datagrams per flush: one machine interaction
@@ -303,28 +301,26 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 	c.mu.Lock()
 	c.m.StartClient()
 	c.flushTxLocked()
-	c.armDeadline(timeout, trace.ReasonHandshakeTimeout)
 	c.mu.Unlock()
+	deadline := time.NewTimer(timeout) //iqlint:ignore timeafterloop -- one-shot dial deadline; the goroutine blocks on channel receive, which a wheel callback cannot serve
+	defer deadline.Stop()
 	select {
 	case <-c.established:
-	case <-c.closed:
-	}
-	c.mu.Lock()
-	c.stopDeadline()
-	c.mu.Unlock()
-	if c.Handshaked() {
 		return c, nil
+	case <-c.closed:
+		// Died before establishment: RST from the server (refused) or a
+		// socket failure underneath the dial. Tear resources down, then
+		// surface the machine's recorded reason as a typed error.
+		c.Close()
+		err := c.Err()
+		if err == ErrClosed {
+			err = ErrRefused // pre-establishment death with no richer reason
+		}
+		return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
+	case <-deadline.C:
+		c.abortWith(trace.ReasonHandshakeTimeout)
+		return nil, &OpError{Op: "dial", Addr: raddr, Err: ErrHandshakeTimeout}
 	}
-	// Died before establishment: RST from the server (refused), a socket
-	// failure underneath the dial, or the handshake deadline. Tear
-	// resources down, then surface the machine's recorded reason as a typed
-	// error.
-	c.Close()
-	err = c.Err()
-	if err == ErrClosed {
-		err = ErrRefused // pre-establishment death with no richer reason
-	}
-	return nil, &OpError{Op: "dial", Addr: raddr, Err: err}
 }
 
 // sizeSockBufs sets a dialed socket's receive and send buffers to
@@ -637,16 +633,20 @@ func (c *Conn) CloseWithin(linger time.Duration) error {
 	c.mu.Lock()
 	c.m.Close()
 	c.flushTxLocked()
-	if !c.Closed() {
-		// Past linger the deadline cuts the graceful drain short and
-		// records why: the machine dies with ReasonFinTimeout.
-		c.armDeadline(linger, trace.ReasonFinTimeout)
+	c.mu.Unlock()
+	lingerT := time.NewTimer(linger) //iqlint:ignore timeafterloop -- one-shot close linger; the caller blocks on channel receive
+	defer lingerT.Stop()
+	select {
+	case <-c.closed:
+	case <-lingerT.C:
+		// The graceful drain outlived its bound: force the machine dead with
+		// a typed reason (timers are gated on c.closed, so without this the
+		// machine would be frozen mid-FIN with no recorded close reason).
+		c.mu.Lock()
+		c.m.AbortWith(trace.ReasonFinTimeout)
+		c.mu.Unlock()
+		c.closeOnce.Do(func() { close(c.closed) })
 	}
-	c.mu.Unlock()
-	<-c.closed
-	c.mu.Lock()
-	c.stopDeadline()
-	c.mu.Unlock()
 	if c.ownSocket {
 		c.sock.Close()
 	}

@@ -26,10 +26,10 @@ import (
 //     recycled by the freelist is never reachable through a stale machine
 //     field.
 //
-// The bounds of Dial and CloseWithin run on the wheel too (see deadline):
-// their expiry aborts the machine, which closes the channel the caller
-// blocks on. Recv's and the engine's Accept deadlines stay on runtime
-// timers: they are per call and end in a timeout error, not a teardown.
+// Deadline timers that guard blocking calls (Dial, Recv, CloseWithin,
+// Accept) stay on runtime timers: they are per-call, not per-packet, and
+// their goroutines block on channel receive, which a wheel callback cannot
+// serve.
 
 // defaultWheel drives the timers of dialed connections; serve shards run
 // their own wheels (NewAccepted). Lazily started, never stopped: one
@@ -65,8 +65,7 @@ type wtimer struct {
 // only if they are all owned.
 const connTimers = 6
 
-// initTimers puts the connection's inline handles on its freelist and
-// binds its deadline to the wheel.
+// initTimers puts the connection's inline handles on its freelist.
 func (c *Conn) initTimers() {
 	c.wtFree = c.wtFreeBuf[:0]
 	for i := range c.wts {
@@ -75,8 +74,6 @@ func (c *Conn) initTimers() {
 		c.wh.Init(&t.wt, t)
 		c.wtFree = append(c.wtFree, t)
 	}
-	c.dl.c = c
-	c.wh.Init(&c.dl.wt, &c.dl)
 }
 
 // Stop implements core.Timer. Called with c.mu held (all machine
@@ -138,55 +135,4 @@ func (e env) After(d time.Duration, fn func()) core.Timer {
 	t.fn = fn
 	t.wt.Arm(d)
 	return t
-}
-
-// deadline bounds a call that blocks on the connection — Dial's handshake,
-// CloseWithin's linger — on the connection's wheel, so neither takes a
-// runtime timer. When it fires it aborts the machine with reason, which
-// closes c.closed and wakes the caller. Guarded by c.mu.
-type deadline struct {
-	wt     wheel.Timer // dispatches to this deadline's Fire
-	c      *Conn
-	armed  bool
-	at     time.Duration // expiry of the armed deadline, on c.epoch's clock
-	reason string
-}
-
-// armDeadline bounds a blocking call to d from now, aborting with reason
-// when it passes. The earliest armed deadline wins, so concurrent callers
-// (an application Close racing the engine's drain) each wait at most their
-// own bound. Called with c.mu held.
-func (c *Conn) armDeadline(d time.Duration, reason string) {
-	dl := &c.dl
-	at := time.Since(c.epoch) + d
-	if dl.armed && dl.at <= at {
-		return
-	}
-	dl.armed, dl.at, dl.reason = true, at, reason
-	dl.wt.Arm(d)
-}
-
-// stopDeadline disarms the deadline once the blocking call it bounds has
-// returned, so the wheel drops its reference to the connection. Called with
-// c.mu held; a dispatch already popped sees the bumped generation and does
-// nothing.
-func (c *Conn) stopDeadline() {
-	if c.dl.armed {
-		c.dl.armed = false
-		c.dl.wt.Stop()
-	}
-}
-
-// Fire implements wheel.Handler.
-func (dl *deadline) Fire(gen uint64) {
-	c := dl.c
-	c.mu.Lock()
-	if !dl.armed || gen != dl.wt.Gen() {
-		c.mu.Unlock()
-		return
-	}
-	dl.armed = false
-	c.m.AbortWith(dl.reason)
-	c.mu.Unlock()
-	c.closeOnce.Do(func() { close(c.closed) })
 }
